@@ -16,6 +16,7 @@ package bdm
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"bulk/internal/cache"
 	"bulk/internal/mutate"
@@ -77,17 +78,29 @@ type Stats struct {
 type Version struct {
 	Owner int
 	R, W  *sig.Signature
-	// Wsh is the shadow write signature for TLS Partial Overlap (Section
-	// 6.3): writes performed after the first child was spawned. Nil until
-	// StartShadow.
-	Wsh *sig.Signature
 	// Overflow is the O bit: set when a dirty line of this version was
 	// evicted to the overflow area.
 	Overflow bool
 
+	// wsh is the shadow write signature for TLS Partial Overlap (Section
+	// 6.3): writes performed after the first child was spawned. It is
+	// built by the first StartShadow and kept across version reuse; shadow
+	// says whether it is active (see Shadow).
+	wsh    *sig.Signature
+	shadow bool
+
 	mask    sig.SetMask // δ(W), maintained incrementally
 	running bool
 	freed   bool
+}
+
+// Shadow returns v's active shadow write signature, or nil when no
+// StartShadow has been issued since the version was allocated or cleared.
+func (v *Version) Shadow() *sig.Signature {
+	if !v.shadow {
+		return nil
+	}
+	return v.wsh
 }
 
 // Module is a per-processor Bulk Disambiguation Module.
@@ -104,9 +117,22 @@ type Module struct {
 
 	stats Stats
 
-	scratchLines []*cache.Line
-	scratchSets  []int
-	scratchMask  sig.SetMask // reused δ(s) output of expand
+	// Scratch results: each is valid until the next call that returns it.
+	scratchDirty  []*cache.Line    // PrepareWrite's SafeWritebacks
+	scratchInval  []cache.LineAddr // the Squash/Commit/SpawnInvalidate lists
+	scratchMerges []MergeLine      // CommitInvalidate's merges
+	scratchSets   []int
+	scratchMask   sig.SetMask // reused δ(s) output of expand
+
+	// Expansion membership memo (memoInSignature), one entry per cache
+	// way, indexed set*ways+j. memoTag[k] is line>>IndexBits()+1 of the
+	// line whose signature bit positions memoPos[k*n:(k+1)*n] hold (n =
+	// NumChunks), 0 for none. Sized by the first expansion.
+	memoTag []uint32
+	memoPos []uint32
+	// wordDeltas is the signature's WordDeltas table at word granularity
+	// (nil at line granularity, or for a configuration without one).
+	wordDeltas []uint32
 }
 
 // New builds a module attached to a cache. The signature configuration must
@@ -142,6 +168,7 @@ func New(cfg Config, c *cache.Cache) (*Module, error) {
 			return nil, err
 		}
 		m.wordPlan = wp
+		m.wordDeltas, _ = cfg.Sig.WordDeltas(cfg.WordsPerLine)
 	}
 	return m, nil
 }
@@ -201,7 +228,7 @@ func (m *Module) takeVersion(owner int) *Version {
 		v.Owner = owner
 		v.R.Clear()
 		v.W.Clear()
-		v.Wsh = nil
+		v.shadow = false
 		v.Overflow = false
 		v.mask.Clear()
 		v.running = false
@@ -275,11 +302,18 @@ func (m *Module) OnRead(v *Version, a sig.Addr) {
 }
 
 // StartShadow begins maintaining the Partial Overlap shadow signature for
-// v (called when v spawns its first child, Section 6.3).
+// v (called when v spawns its first child, Section 6.3). The signature
+// object is built once per version object and cleared on each restart.
 func (m *Module) StartShadow(v *Version) {
-	if v.Wsh == nil {
-		v.Wsh = m.cfg.Sig.NewSignature()
+	if v.shadow {
+		return
 	}
+	if v.wsh == nil {
+		v.wsh = m.cfg.Sig.NewSignature()
+	} else {
+		v.wsh.Clear()
+	}
+	v.shadow = true
 }
 
 // WriteDecision is the Set Restriction outcome for a pending speculative
@@ -289,7 +323,8 @@ type WriteDecision struct {
 	OK bool
 	// SafeWritebacks lists non-speculative dirty lines in the target set
 	// that must be written back (and marked clean) before the write
-	// updates the cache. Only populated in the (0,0) case.
+	// updates the cache. Only populated in the (0,0) case; the slice is
+	// module scratch, valid until the next PrepareWrite.
 	SafeWritebacks []*cache.Line
 	// ConflictOwner, when !OK, is the owner of the preempted version
 	// whose dirty lines occupy the set ((0,1) case). The runtime must
@@ -317,9 +352,9 @@ func (m *Module) PrepareWrite(v *Version, a sig.Addr) WriteDecision {
 		if m.cfg.Mutate.Has(mutate.SkipSetRestriction) {
 			return WriteDecision{OK: true}
 		}
-		dirty := m.cache.DirtyLinesInSet(set, nil)
-		m.stats.SafeWritebacks += uint64(len(dirty))
-		return WriteDecision{OK: true, SafeWritebacks: dirty}
+		m.scratchDirty = m.cache.DirtyLinesInSet(set, m.scratchDirty[:0])
+		m.stats.SafeWritebacks += uint64(len(m.scratchDirty))
+		return WriteDecision{OK: true, SafeWritebacks: m.scratchDirty}
 	}
 }
 
@@ -338,8 +373,8 @@ func (m *Module) setOwner(set int, exclude *Version) int {
 // writebacks performed).
 func (m *Module) CommitWrite(v *Version, a sig.Addr) {
 	v.W.Add(a)
-	if v.Wsh != nil && !m.cfg.Mutate.Has(mutate.DropShadowWrite) {
-		v.Wsh.Add(a)
+	if v.shadow && !m.cfg.Mutate.Has(mutate.DropShadowWrite) {
+		v.wsh.Add(a)
 	}
 	v.mask.Set(m.plan.SetIndexOf(a))
 }
@@ -405,6 +440,11 @@ func (m *Module) DisambiguateAddr(v *Version, a sig.Addr) bool {
 // actually hold candidate lines. This is the paper's "expansion visits only
 // the sets in δ(W)" claim made concrete: against a cold or clean cache, a
 // broadcast costs a handful of AND instructions.
+//
+// s must use a sig.Config Compatible with the module's: the δ decode
+// panics otherwise, before any line is tested, and that check is what lets
+// memoInSignature test s against positions gathered with the module's
+// config.
 func (m *Module) expand(s *sig.Signature, dirtyOnly bool, fn func(*cache.Line)) {
 	m.plan.DecodeInto(s, m.scratchMask)
 	if dirtyOnly {
@@ -412,21 +452,71 @@ func (m *Module) expand(s *sig.Signature, dirtyOnly bool, fn func(*cache.Line)) 
 	} else {
 		m.cache.AndValidSets(m.scratchMask)
 	}
+	m.ensureMemo()
+	ways := m.cache.Ways()
 	m.scratchSets = m.scratchMask.Sets(m.scratchSets[:0])
 	for _, set := range m.scratchSets {
 		m.stats.ExpansionSetsVisited++
-		if dirtyOnly {
-			m.scratchLines = m.cache.DirtyLinesInSet(set, m.scratchLines[:0])
-		} else {
-			m.scratchLines = m.cache.LinesInSet(set, m.scratchLines[:0])
-		}
-		for _, l := range m.scratchLines {
+		for j := 0; j < ways; j++ {
+			l := m.cache.Way(set, j)
+			if l.State == cache.Invalid || dirtyOnly && l.State != cache.Dirty {
+				continue
+			}
 			m.stats.ExpansionLinesRead++
-			if m.lineInSignature(s, l.Addr) {
+			if m.memoInSignature(s, set*ways+j, l.Addr) {
 				fn(l)
 			}
 		}
 	}
+}
+
+// ensureMemo sizes the expansion memo on first use, so a module that never
+// expands (no commit ever reaches it) pays nothing for it.
+func (m *Module) ensureMemo() {
+	if m.memoTag == nil {
+		n := m.cache.NumSets() * m.cache.Ways()
+		m.memoTag = make([]uint32, n)
+		m.memoPos = make([]uint32, n*m.cfg.Sig.NumChunks())
+	}
+}
+
+// memoInSignature is lineInSignature for the line held by cache way k,
+// through the way's memo entry: the line's signature bit positions are
+// gathered once per fill of the way and every later expansion over the
+// same resident line is a tag compare plus bit tests. The tag is the full
+// line address (its set bits are implied by k), so an entry is exact
+// whenever its tag matches — the memo needs no invalidation hooks and no
+// snapshot, and after a cache restore it simply re-gathers the ways whose
+// line changed. Addresses whose tag does not fit 32 bits, and word
+// granularity without a WordDeltas table, take the direct path. The
+// positions are the module config's; expand has already rejected any s
+// whose config is not Compatible with it, so they are s's positions too.
+//
+//bulklint:noalloc
+func (m *Module) memoInSignature(s *sig.Signature, k int, line cache.LineAddr) bool {
+	tag := uint64(line)>>m.cache.IndexBits() + 1
+	if tag > math.MaxUint32 || m.wordPlan != nil && m.wordDeltas == nil {
+		return m.lineInSignature(s, line)
+	}
+	n := m.cfg.Sig.NumChunks()
+	pos := m.memoPos[k*n : (k+1)*n]
+	if m.memoTag[k] != uint32(tag) {
+		m.memoTag[k] = uint32(tag)
+		m.cfg.Sig.BitPositions(m.wordBase(line), pos)
+	}
+	if m.wordDeltas == nil {
+		return s.HasBits(pos)
+	}
+	return s.HasBitsAny(pos, m.wordDeltas)
+}
+
+// wordBase returns the signature-granularity address of a line's first
+// word (the line itself at line granularity).
+func (m *Module) wordBase(line cache.LineAddr) sig.Addr {
+	if m.wordPlan == nil {
+		return sig.Addr(line)
+	}
+	return sig.Addr(uint64(line) * uint64(m.cfg.WordsPerLine))
 }
 
 // lineInSignature is the membership test at line granularity: for word
@@ -435,7 +525,7 @@ func (m *Module) lineInSignature(s *sig.Signature, line cache.LineAddr) bool {
 	if m.wordPlan == nil {
 		return s.Contains(sig.Addr(line))
 	}
-	base := uint64(line) * uint64(m.cfg.WordsPerLine)
+	base := uint64(m.wordBase(line))
 	for w := 0; w < m.cfg.WordsPerLine; w++ {
 		if s.Contains(sig.Addr(base + uint64(w))) {
 			return true
@@ -453,8 +543,12 @@ func (m *Module) lineInSignature(s *sig.Signature, line cache.LineAddr) bool {
 // allocated for the restarted thread.
 //
 // Thanks to the Set Restriction plus exact δ, the dirty lines invalidated
-// here are guaranteed to belong to this version.
+// here are guaranteed to belong to this version. The returned list is
+// module scratch, valid until the next Squash/Commit/SpawnInvalidate.
+// v's signatures must use a config Compatible with the module's (expand
+// panics otherwise).
 func (m *Module) SquashInvalidate(v *Version, invalidateReads bool) (invalidated []cache.LineAddr) {
+	invalidated = m.scratchInval[:0]
 	m.expand(v.W, true, func(l *cache.Line) {
 		if l.State == cache.Dirty {
 			m.cache.Invalidate(l.Addr)
@@ -476,6 +570,7 @@ func (m *Module) SquashInvalidate(v *Version, invalidateReads bool) (invalidated
 		})
 	}
 	m.ClearVersion(v)
+	m.scratchInval = invalidated
 	return invalidated
 }
 
@@ -484,7 +579,7 @@ func (m *Module) SquashInvalidate(v *Version, invalidateReads bool) (invalidated
 func (m *Module) ClearVersion(v *Version) {
 	v.R.Clear()
 	v.W.Clear()
-	v.Wsh = nil
+	v.shadow = false
 	v.Overflow = false
 	v.mask.Clear()
 	m.recomputePreMask()
@@ -511,8 +606,12 @@ type MergeLine struct {
 //     action (Section 4.3's argument).
 //
 // The returned invalidated list lets the runtime charge refill costs and
-// classify false invalidations against the committer's exact set.
+// classify false invalidations against the committer's exact set. Both
+// lists are module scratch, valid until the next call that returns them.
+// wc must use a config Compatible with the module's (expand panics
+// otherwise).
 func (m *Module) CommitInvalidate(wc *sig.Signature) (invalidated []cache.LineAddr, merges []MergeLine) {
+	invalidated, merges = m.scratchInval[:0], m.scratchMerges[:0]
 	m.expand(wc, false, func(l *cache.Line) {
 		switch l.State {
 		case cache.Clean:
@@ -548,6 +647,7 @@ func (m *Module) CommitInvalidate(wc *sig.Signature) (invalidated []cache.LineAd
 			})
 		}
 	})
+	m.scratchInval, m.scratchMerges = invalidated, merges
 	return invalidated, merges
 }
 
@@ -555,14 +655,18 @@ func (m *Module) CommitInvalidate(wc *sig.Signature) (invalidated []cache.LineAd
 // spawns its first child, the parent's current W travels with the spawn and
 // the child's processor bulk-invalidates the *clean* cached lines in it, so
 // the child will miss and fetch the parent's versions instead of using
-// stale ones.
+// stale ones. The returned list is module scratch, valid until the next
+// Squash/Commit/SpawnInvalidate. w must use a config Compatible with the
+// module's (expand panics otherwise).
 func (m *Module) SpawnInvalidate(w *sig.Signature) (invalidated []cache.LineAddr) {
+	invalidated = m.scratchInval[:0]
 	m.expand(w, false, func(l *cache.Line) {
 		if l.State == cache.Clean {
 			m.cache.Invalidate(l.Addr)
 			invalidated = append(invalidated, l.Addr)
 		}
 	})
+	m.scratchInval = invalidated
 	return invalidated
 }
 

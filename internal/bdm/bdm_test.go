@@ -12,7 +12,7 @@ import (
 // cache (128 sets), as in Table 5.
 func tmModule(t testing.TB, versions int) *Module {
 	t.Helper()
-	c := cache.MustNew(32<<10, 4, 64)
+	c := cache.MustNew(32<<10, 4, 64, 16)
 	m, err := New(Config{
 		Sig:          sig.DefaultTM(),
 		Index:        sig.IndexSpec{LowBit: 0, Bits: 7},
@@ -29,7 +29,7 @@ func tmModule(t testing.TB, versions int) *Module {
 // cache (64 sets), 16 words per line.
 func tlsModule(t testing.TB, versions int) *Module {
 	t.Helper()
-	c := cache.MustNew(16<<10, 4, 64)
+	c := cache.MustNew(16<<10, 4, 64, 16)
 	m, err := New(Config{
 		Sig:          sig.DefaultTLS(),
 		Index:        sig.IndexSpec{LowBit: 4, Bits: 6},
@@ -43,7 +43,7 @@ func tlsModule(t testing.TB, versions int) *Module {
 }
 
 func TestNewValidation(t *testing.T) {
-	c := cache.MustNew(32<<10, 4, 64)
+	c := cache.MustNew(32<<10, 4, 64, 0)
 	// Zero versions.
 	if _, err := New(Config{Sig: sig.DefaultTM(), Index: sig.IndexSpec{LowBit: 0, Bits: 7}, MaxVersions: 0}, c); err == nil {
 		t.Error("MaxVersions=0 must be rejected")
@@ -397,13 +397,14 @@ func TestShadowSignature(t *testing.T) {
 	if d := m.PrepareWrite(v, a2); d.OK {
 		m.CommitWrite(v, a2)
 	}
-	if v.Wsh == nil {
+	wsh := v.Shadow()
+	if wsh == nil {
 		t.Fatal("shadow signature must exist after StartShadow")
 	}
-	if !v.Wsh.Contains(a2) {
+	if !wsh.Contains(a2) {
 		t.Fatal("shadow must contain post-spawn writes")
 	}
-	if v.Wsh.Contains(a1) {
+	if wsh.Contains(a1) {
 		t.Fatal("shadow must not contain pre-spawn writes (no aliasing expected here)")
 	}
 	if !v.W.Contains(a1) || !v.W.Contains(a2) {
@@ -470,7 +471,7 @@ func TestClearVersionResetsEverything(t *testing.T) {
 	m.StartShadow(v)
 	m.NoteOverflow(v)
 	m.ClearVersion(v)
-	if !v.R.Zero() || !v.W.Zero() || v.Wsh != nil || v.Overflow {
+	if !v.R.Zero() || !v.W.Zero() || v.Shadow() != nil || v.Overflow {
 		t.Fatal("ClearVersion must reset signatures, shadow, and O bit")
 	}
 	if m.OwnsDirtySet(m.SetIndexOf(2)) {

@@ -67,12 +67,12 @@ func (m *Module) SaveState(st *ModuleState) {
 		sv.Owner = v.Owner
 		sv.R.CopyFrom(v.R)
 		sv.W.CopyFrom(v.W)
-		sv.HasWsh = v.Wsh != nil
+		sv.HasWsh = v.shadow
 		if sv.HasWsh {
 			if sv.Wsh == nil {
 				sv.Wsh = m.cfg.Sig.NewSignature()
 			}
-			sv.Wsh.CopyFrom(v.Wsh)
+			sv.Wsh.CopyFrom(v.wsh)
 		}
 		sv.Overflow = v.Overflow
 		sv.mask.CopyFrom(v.mask)
@@ -103,13 +103,12 @@ func (m *Module) LoadState(st *ModuleState) {
 		v.Owner = sv.Owner
 		v.R.CopyFrom(sv.R)
 		v.W.CopyFrom(sv.W)
-		if sv.HasWsh {
-			if v.Wsh == nil {
-				v.Wsh = m.cfg.Sig.NewSignature()
+		v.shadow = sv.HasWsh
+		if v.shadow {
+			if v.wsh == nil {
+				v.wsh = m.cfg.Sig.NewSignature()
 			}
-			v.Wsh.CopyFrom(sv.Wsh)
-		} else {
-			v.Wsh = nil
+			v.wsh.CopyFrom(sv.Wsh)
 		}
 		v.Overflow = sv.Overflow
 		v.mask.CopyFrom(sv.mask)

@@ -50,10 +50,16 @@ func (s State) String() string {
 type Line struct {
 	Addr  LineAddr
 	State State
-	// Data optionally carries the line's word values. The cache itself
-	// never interprets it; the simulator's functional layer uses it so
-	// that stale-line bugs in the protocols are observable as wrong
-	// values rather than silently hidden.
+	// Data carries the line's word values when the cache was built with
+	// wordsPerLine > 0 (nil otherwise). The cache never interprets it; the
+	// simulator's functional layer uses it so that stale-line bugs in the
+	// protocols are observable as wrong values rather than silently hidden.
+	//
+	// Data is cache-owned storage: a way gets its buffer from the cache's
+	// arena the first time it is filled and keeps it across evictions and
+	// invalidations, so a fill never allocates once the way is warm. The
+	// words of a freshly inserted line are stale until the caller writes
+	// them; nothing may read an Invalid way's Data.
 	Data []uint64
 	lru  uint64
 }
@@ -61,11 +67,11 @@ type Line struct {
 // Valid reports whether the line holds data.
 func (l *Line) Valid() bool { return l.State != Invalid }
 
-// Evicted describes a line displaced by an insertion.
+// Evicted describes a line displaced by an insertion. State is Invalid
+// when the insertion displaced nothing.
 type Evicted struct {
 	Addr  LineAddr
 	State State
-	Data  []uint64
 }
 
 // Stats counts cache events. All counters are cumulative.
@@ -96,9 +102,13 @@ type Cache struct {
 	lineBytes int
 	//bulklint:snapstate-ignore indexBits immutable geometry derived from sets
 	indexBits int
-	lines     []Line // sets*ways, row-major by set
-	clock     uint64
-	stats     Stats
+	//bulklint:snapstate-ignore words immutable geometry checked by the cross-geometry panic
+	words int    // uint64 words of Data per line; 0 = no line data
+	lines []Line // sets*ways, row-major by set
+	//bulklint:snapstate-ignore arena allocator storage: the unassigned tail of the current Data chunk, never observable state
+	arena []uint64
+	clock uint64
+	stats Stats
 
 	validCnt  []uint16 // valid lines per set
 	dirtyCnt  []uint16 // dirty lines per set
@@ -106,11 +116,19 @@ type Cache struct {
 	dirtyMask []uint64 // bit s set iff dirtyCnt[s] > 0
 }
 
+// dataChunkLines is how many lines' Data the arena grows by at a time.
+// Small chunks keep a cold cache cheap: a short run that touches a few
+// hundred ways pays for about that many buffers, not for the whole
+// sets×ways slab.
+const dataChunkLines = 16
+
 // New builds a cache of sizeBytes bytes, with the given associativity and
 // line size. sizeBytes/(ways*lineBytes) must be a power of two.
-func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
-	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
-		return nil, fmt.Errorf("cache: invalid geometry %d/%d/%d", sizeBytes, ways, lineBytes)
+// wordsPerLine sizes each line's Data buffer; 0 means the cache carries no
+// line data (Data stays nil).
+func New(sizeBytes, ways, lineBytes, wordsPerLine int) (*Cache, error) {
+	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 || wordsPerLine < 0 {
+		return nil, fmt.Errorf("cache: invalid geometry %d/%d/%d/%d", sizeBytes, ways, lineBytes, wordsPerLine)
 	}
 	if sizeBytes%(ways*lineBytes) != 0 {
 		return nil, fmt.Errorf("cache: size %d not divisible by ways*lineBytes", sizeBytes)
@@ -124,6 +142,7 @@ func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 		ways:      ways,
 		lineBytes: lineBytes,
 		indexBits: bits.TrailingZeros(uint(sets)),
+		words:     wordsPerLine,
 		lines:     make([]Line, sets*ways),
 		validCnt:  make([]uint16, sets),
 		dirtyCnt:  make([]uint16, sets),
@@ -133,8 +152,8 @@ func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 }
 
 // MustNew is New that panics on error; for static configuration tables.
-func MustNew(sizeBytes, ways, lineBytes int) *Cache {
-	c, err := New(sizeBytes, ways, lineBytes)
+func MustNew(sizeBytes, ways, lineBytes, wordsPerLine int) *Cache {
+	c, err := New(sizeBytes, ways, lineBytes, wordsPerLine)
 	if err != nil {
 		panic(err)
 	}
@@ -179,6 +198,28 @@ func (c *Cache) SizeBytes() int {
 
 // set returns the ways of set i.
 func (c *Cache) set(i int) []Line { return c.lines[i*c.ways : (i+1)*c.ways] }
+
+// Way returns way j of set i, valid or not. This is the cache-side read of
+// signature expansion (Figure 4): given a set index from δ, read out the
+// set's lines. i*Ways()+j is a stable index for the lifetime of the cache,
+// so callers may key per-way side tables by it.
+func (c *Cache) Way(i, j int) *Line { return &c.lines[i*c.ways+j] }
+
+// ensureData gives l its Data buffer if it has none yet, carving it from
+// the arena. Each buffer is a distinct full-capacity slice of a chunk, so
+// no two ways ever share backing words.
+//
+//bulklint:noalloc
+func (c *Cache) ensureData(l *Line) {
+	if l.Data != nil || c.words == 0 {
+		return
+	}
+	if len(c.arena) < c.words {
+		c.arena = make([]uint64, min(dataChunkLines, len(c.lines))*c.words) //bulklint:allow noalloc a way's first fill draws its buffer from a fresh chunk; warm ways reuse theirs
+	}
+	l.Data = c.arena[:c.words:c.words]
+	c.arena = c.arena[c.words:]
+}
 
 // Occupancy bookkeeping. Counts drive the masks: a set's mask bit flips
 // exactly on the 0↔1 count transitions, so every state change costs O(1).
@@ -244,10 +285,14 @@ func (c *Cache) Access(a LineAddr) *Line {
 }
 
 // Insert places address a in the cache in the given state, evicting the LRU
-// way if the set is full. The returned Evicted (nil if an invalid way was
-// used) tells the caller what was displaced — the caller owns writing back
-// dirty victims.
-func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
+// way if the set is full. The returned Evicted tells the caller what was
+// displaced (State Invalid when an empty way was used, or when a was
+// already present) — the caller owns writing back dirty victims. The
+// line's Data keeps the way's buffer, whose words are stale until the
+// caller fills them.
+//
+//bulklint:noalloc
+func (c *Cache) Insert(a LineAddr, st State) (*Line, Evicted) {
 	if st == Invalid {
 		panic("cache: cannot insert a line in Invalid state") //bulklint:invariant callers insert only Clean or Dirty lines
 	}
@@ -260,7 +305,7 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
 		}
 		c.clock++
 		l.lru = c.clock
-		return l, nil
+		return l, Evicted{}
 	}
 	ws := c.set(set)
 	victim := -1
@@ -270,7 +315,7 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
 			break
 		}
 	}
-	var ev *Evicted
+	var ev Evicted
 	if victim < 0 {
 		victim = 0
 		for i := 1; i < len(ws); i++ {
@@ -278,7 +323,7 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
 				victim = i
 			}
 		}
-		ev = &Evicted{Addr: ws[victim].Addr, State: ws[victim].State, Data: ws[victim].Data}
+		ev = Evicted{Addr: ws[victim].Addr, State: ws[victim].State}
 		c.stats.Evictions++
 		c.subValid(set)
 		if ws[victim].State == Dirty {
@@ -287,12 +332,14 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
 		}
 	}
 	c.clock++
-	ws[victim] = Line{Addr: a, State: st, lru: c.clock}
+	l := &ws[victim]
+	l.Addr, l.State, l.lru = a, st, c.clock
+	c.ensureData(l)
 	c.addValid(set)
 	if st == Dirty {
 		c.addDirty(set)
 	}
-	return &ws[victim], ev
+	return l, ev
 }
 
 // Invalidate removes address a from the cache if present. Returns the state
@@ -339,24 +386,6 @@ func (c *Cache) MarkDirty(l *Line) {
 	}
 }
 
-// LinesInSet appends pointers to the valid lines of set i to dst. This is
-// the cache-side read of signature expansion (Figure 4): given a set index
-// from δ, read out all valid line addresses in the set.
-//
-//bulklint:noalloc
-func (c *Cache) LinesInSet(i int, dst []*Line) []*Line {
-	if c.validCnt[i] == 0 {
-		return dst
-	}
-	ws := c.set(i)
-	for j := range ws {
-		if ws[j].State != Invalid {
-			dst = append(dst, &ws[j]) //bulklint:allow noalloc amortized growth; callers pass a warmed scratch buffer
-		}
-	}
-	return dst
-}
-
 // DirtyInSet reports whether set i holds any dirty line.
 //
 //bulklint:noalloc
@@ -401,18 +430,18 @@ func (c *Cache) AndDirtySets(m []uint64) {
 
 // CopyFrom makes c a deep copy of src, which must share c's geometry (the
 // snapshot pool always restores a system into an identically-configured
-// clone of itself). Line Data buffers are deep-copied into c's existing
-// buffers where capacity allows, and a nil source Data stays nil — the
-// runtimes branch on Data presence, so nil-ness is part of the state.
+// clone of itself). Valid lines' Data words are copied into c's own
+// buffers — a way that has none yet gets one from c's arena — so c never
+// aliases src's storage.
 //
 // The copy is sparse: only sets occupied on either side are touched (the
 // union of the two valid masks), which makes snapshot capture and restore
 // O(occupancy) instead of O(cache size). That is sufficient for exact
 // behavioral equality because nothing ever reads an Invalid way's Addr,
 // lru, or Data: Lookup filters on State, victim selection prefers Invalid
-// ways without comparing their lru, and Insert overwrites the whole Line.
-// A set unoccupied in both src and dst already agrees on the only
-// observable fact — every way Invalid.
+// ways without comparing their lru, and Insert overwrites the tag fields
+// while the caller refills Data. A set unoccupied in both src and dst
+// already agrees on the only observable fact — every way Invalid.
 //
 //bulklint:noalloc
 //bulklint:captures copyfrom
@@ -420,7 +449,7 @@ func (c *Cache) CopyFrom(src *Cache) {
 	if c == src {
 		return
 	}
-	if c.sets != src.sets || c.ways != src.ways || c.lineBytes != src.lineBytes {
+	if c.sets != src.sets || c.ways != src.ways || c.lineBytes != src.lineBytes || c.words != src.words {
 		panic("cache: CopyFrom across cache geometries") //bulklint:invariant snapshots restore into clones built from the same Options
 	}
 	for w := range c.validMask {
@@ -428,18 +457,7 @@ func (c *Cache) CopyFrom(src *Cache) {
 		for ; m != 0; m &= m - 1 {
 			set := w<<6 + bits.TrailingZeros64(m)
 			for i := set * c.ways; i < (set+1)*c.ways; i++ {
-				data := c.lines[i].Data
-				c.lines[i] = src.lines[i]
-				if src.lines[i].Data == nil {
-					c.lines[i].Data = nil
-					continue
-				}
-				if cap(data) < len(src.lines[i].Data) {
-					data = make([]uint64, len(src.lines[i].Data)) //bulklint:allow noalloc first copy into a fresh snapshot; pooled restores reuse the buffer
-				}
-				data = data[:len(src.lines[i].Data)]
-				copy(data, src.lines[i].Data)
-				c.lines[i].Data = data
+				c.restoreLine(&c.lines[i], &src.lines[i])
 			}
 		}
 	}

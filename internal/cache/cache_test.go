@@ -8,12 +8,12 @@ import (
 
 func TestGeometry(t *testing.T) {
 	// TLS config of Table 5: 16KB, 4-way, 64B lines -> 64 sets.
-	c := MustNew(16<<10, 4, 64)
+	c := MustNew(16<<10, 4, 64, 0)
 	if c.NumSets() != 64 || c.IndexBits() != 6 || c.Ways() != 4 || c.LineBytes() != 64 {
 		t.Fatalf("TLS geometry wrong: sets=%d idx=%d", c.NumSets(), c.IndexBits())
 	}
 	// TM config: 32KB, 4-way, 64B -> 128 sets.
-	c2 := MustNew(32<<10, 4, 64)
+	c2 := MustNew(32<<10, 4, 64, 0)
 	if c2.NumSets() != 128 || c2.IndexBits() != 7 {
 		t.Fatalf("TM geometry wrong: sets=%d", c2.NumSets())
 	}
@@ -26,21 +26,21 @@ func TestNewValidation(t *testing.T) {
 		{3 * 64 * 4, 4, 64}, // 3 sets, not a power of two
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.size, tc.ways, tc.line); err == nil {
+		if _, err := New(tc.size, tc.ways, tc.line, 0); err == nil {
 			t.Errorf("New(%d,%d,%d) must fail", tc.size, tc.ways, tc.line)
 		}
 	}
 }
 
 func TestInsertLookupInvalidate(t *testing.T) {
-	c := MustNew(1024, 2, 64) // 8 sets
+	c := MustNew(1024, 2, 64, 0) // 8 sets
 	a := LineAddr(0x42)
 	if c.Contains(a) {
 		t.Fatal("empty cache must not contain anything")
 	}
 	l, ev := c.Insert(a, Clean)
-	if ev != nil {
-		t.Fatal("inserting into an empty set must not evict")
+	if ev != (Evicted{}) {
+		t.Fatalf("inserting into an empty set must not evict, got %+v", ev)
 	}
 	if l.Addr != a || l.State != Clean {
 		t.Fatalf("inserted line wrong: %+v", l)
@@ -60,12 +60,12 @@ func TestInsertLookupInvalidate(t *testing.T) {
 }
 
 func TestInsertUpgradesState(t *testing.T) {
-	c := MustNew(1024, 2, 64)
+	c := MustNew(1024, 2, 64, 0)
 	a := LineAddr(5)
 	c.Insert(a, Clean)
 	l, ev := c.Insert(a, Dirty)
-	if ev != nil {
-		t.Fatal("re-inserting present line must not evict")
+	if ev != (Evicted{}) {
+		t.Fatalf("re-inserting present line must not evict, got %+v", ev)
 	}
 	if l.State != Dirty {
 		t.Fatal("insert must upgrade Clean to Dirty")
@@ -79,7 +79,7 @@ func TestInsertUpgradesState(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := MustNew(2*64, 2, 64) // 1 set, 2 ways
+	c := MustNew(2*64, 2, 64, 0) // 1 set, 2 ways
 	c.Insert(0, Clean)
 	c.Insert(1, Clean)
 	// Touch 0 so 1 becomes LRU.
@@ -87,7 +87,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("line 0 must hit")
 	}
 	_, ev := c.Insert(2, Clean)
-	if ev == nil || ev.Addr != 1 {
+	if ev != (Evicted{Addr: 1, State: Clean}) {
 		t.Fatalf("expected eviction of LRU line 1, got %+v", ev)
 	}
 	if !c.Contains(0) || !c.Contains(2) || c.Contains(1) {
@@ -96,11 +96,11 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestEvictionReportsDirty(t *testing.T) {
-	c := MustNew(2*64, 2, 64)
+	c := MustNew(2*64, 2, 64, 0)
 	c.Insert(0, Dirty)
 	c.Insert(1, Clean)
 	_, ev := c.Insert(2, Clean)
-	if ev == nil || ev.Addr != 0 || ev.State != Dirty {
+	if ev != (Evicted{Addr: 0, State: Dirty}) {
 		t.Fatalf("expected dirty eviction of 0, got %+v", ev)
 	}
 	st := c.Stats()
@@ -110,7 +110,7 @@ func TestEvictionReportsDirty(t *testing.T) {
 }
 
 func TestSetIndexMapping(t *testing.T) {
-	c := MustNew(16<<10, 4, 64) // 64 sets
+	c := MustNew(16<<10, 4, 64, 0) // 64 sets
 	for _, a := range []LineAddr{0, 63, 64, 127, 1 << 20} {
 		want := int(a % 64)
 		if got := c.SetIndex(a); got != want {
@@ -118,8 +118,8 @@ func TestSetIndexMapping(t *testing.T) {
 		}
 	}
 	// Addresses 64 apart collide in the same set.
-	c2 := MustNew(2*64, 2, 64) // 1 set... use 4 sets instead
-	c3 := MustNew(4*2*64, 2, 64)
+	c2 := MustNew(2*64, 2, 64, 0) // 1 set... use 4 sets instead
+	c3 := MustNew(4*2*64, 2, 64, 0)
 	if c3.SetIndex(3) != c3.SetIndex(7) {
 		t.Error("addresses 4 apart must share a set in a 4-set cache")
 	}
@@ -127,13 +127,12 @@ func TestSetIndexMapping(t *testing.T) {
 }
 
 func TestLinesInSetAndDirtyQueries(t *testing.T) {
-	c := MustNew(4*2*64, 2, 64) // 4 sets, 2 ways
-	c.Insert(0, Clean)          // set 0
-	c.Insert(4, Dirty)          // set 0
-	c.Insert(1, Clean)          // set 1
-	lines := c.LinesInSet(0, nil)
-	if len(lines) != 2 {
-		t.Fatalf("set 0 must have 2 valid lines, got %d", len(lines))
+	c := MustNew(4*2*64, 2, 64, 0) // 4 sets, 2 ways
+	c.Insert(0, Clean)             // set 0
+	c.Insert(4, Dirty)             // set 0
+	c.Insert(1, Clean)             // set 1
+	if a, b := c.Way(0, 0), c.Way(0, 1); a.Addr != 0 || a.State != Clean || b.Addr != 4 || b.State != Dirty {
+		t.Fatalf("set 0 must hold lines 0 (Clean) and 4 (Dirty) in fill order, got %+v %+v", *a, *b)
 	}
 	if !c.DirtyInSet(0) || c.DirtyInSet(1) || c.DirtyInSet(2) {
 		t.Fatal("DirtyInSet wrong")
@@ -145,7 +144,7 @@ func TestLinesInSetAndDirtyQueries(t *testing.T) {
 }
 
 func TestMarkClean(t *testing.T) {
-	c := MustNew(1024, 2, 64)
+	c := MustNew(1024, 2, 64, 0)
 	c.Insert(9, Dirty)
 	c.MarkClean(9)
 	if l := c.Lookup(9); l == nil || l.State != Clean {
@@ -155,7 +154,7 @@ func TestMarkClean(t *testing.T) {
 }
 
 func TestWalkAndCountState(t *testing.T) {
-	c := MustNew(1024, 2, 64)
+	c := MustNew(1024, 2, 64, 0)
 	c.Insert(1, Clean)
 	c.Insert(2, Dirty)
 	c.Insert(3, Dirty)
@@ -174,7 +173,7 @@ func TestWalkAndCountState(t *testing.T) {
 }
 
 func TestAccessStats(t *testing.T) {
-	c := MustNew(1024, 2, 64)
+	c := MustNew(1024, 2, 64, 0)
 	if c.Access(7) != nil {
 		t.Fatal("miss expected")
 	}
@@ -189,7 +188,7 @@ func TestAccessStats(t *testing.T) {
 }
 
 func TestInsertInvalidPanics(t *testing.T) {
-	c := MustNew(1024, 2, 64)
+	c := MustNew(1024, 2, 64, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Insert(Invalid) must panic")
@@ -200,8 +199,8 @@ func TestInsertInvalidPanics(t *testing.T) {
 
 func TestStressRandomOpsInvariant(t *testing.T) {
 	// Random inserts/invalidate/access; invariants: a set never holds the
-	// same address twice, never exceeds ways valid lines.
-	c := MustNew(4<<10, 4, 64) // 16 sets
+	// same address twice, and every line sits in its own set.
+	c := MustNew(4<<10, 4, 64, 0) // 16 sets
 	r := rng.New(99)
 	for op := 0; op < 20000; op++ {
 		a := LineAddr(r.Intn(256))
@@ -219,12 +218,12 @@ func TestStressRandomOpsInvariant(t *testing.T) {
 		}
 	}
 	for set := 0; set < c.NumSets(); set++ {
-		lines := c.LinesInSet(set, nil)
-		if len(lines) > c.Ways() {
-			t.Fatalf("set %d has %d valid lines > %d ways", set, len(lines), c.Ways())
-		}
 		seen := map[LineAddr]bool{}
-		for _, l := range lines {
+		for j := 0; j < c.Ways(); j++ {
+			l := c.Way(set, j)
+			if l.State == Invalid {
+				continue
+			}
 			if seen[l.Addr] {
 				t.Fatalf("set %d holds address %d twice", set, l.Addr)
 			}
@@ -237,7 +236,7 @@ func TestStressRandomOpsInvariant(t *testing.T) {
 }
 
 func BenchmarkAccessHit(b *testing.B) {
-	c := MustNew(32<<10, 4, 64)
+	c := MustNew(32<<10, 4, 64, 0)
 	c.Insert(1, Clean)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -246,7 +245,7 @@ func BenchmarkAccessHit(b *testing.B) {
 }
 
 func BenchmarkInsertEvict(b *testing.B) {
-	c := MustNew(32<<10, 4, 64)
+	c := MustNew(32<<10, 4, 64, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Insert(LineAddr(i), Clean)

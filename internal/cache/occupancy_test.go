@@ -60,7 +60,7 @@ func TestOccupancyRandomOps(t *testing.T) {
 		{32 << 10, 4, 64}, // 128 sets
 		{2 << 10, 4, 64},  // 8 sets
 	} {
-		c := MustNew(geom.size, geom.ways, geom.line)
+		c := MustNew(geom.size, geom.ways, geom.line, 0)
 		r := rng.New(uint64(geom.size))
 		addrSpace := uint64(c.NumSets() * c.Ways() * 3) // enough aliasing to force evictions
 		for step := 0; step < 4000; step++ {
@@ -93,11 +93,10 @@ func TestOccupancyRandomOps(t *testing.T) {
 	}
 }
 
-// TestOccupancyFastPathsAgree checks DirtyInSet / LinesInSet /
-// DirtyLinesInSet (which consult the counts) against what a scan of the
-// ways reports.
+// TestOccupancyFastPathsAgree checks DirtyInSet / DirtyLinesInSet (which
+// consult the counts) against what a scan of the ways reports.
 func TestOccupancyFastPathsAgree(t *testing.T) {
-	c := MustNew(4<<10, 2, 64) // 32 sets
+	c := MustNew(4<<10, 2, 64, 0) // 32 sets
 	r := rng.New(7)
 	for step := 0; step < 500; step++ {
 		a := LineAddr(r.Intn(200))
@@ -112,20 +111,14 @@ func TestOccupancyFastPathsAgree(t *testing.T) {
 		}
 	}
 	for s := 0; s < c.NumSets(); s++ {
-		valid, dirty := 0, 0
+		dirty := 0
 		for _, l := range c.set(s) {
-			if l.State != Invalid {
-				valid++
-			}
 			if l.State == Dirty {
 				dirty++
 			}
 		}
 		if got := c.DirtyInSet(s); got != (dirty > 0) {
 			t.Fatalf("set %d: DirtyInSet = %v, scan says %d dirty", s, got, dirty)
-		}
-		if got := len(c.LinesInSet(s, nil)); got != valid {
-			t.Fatalf("set %d: LinesInSet returned %d lines, scan says %d", s, got, valid)
 		}
 		if got := len(c.DirtyLinesInSet(s, nil)); got != dirty {
 			t.Fatalf("set %d: DirtyLinesInSet returned %d lines, scan says %d", s, got, dirty)
@@ -136,7 +129,7 @@ func TestOccupancyFastPathsAgree(t *testing.T) {
 // TestAndSetMasks checks the δ-mask intersection entry points used by
 // signature expansion.
 func TestAndSetMasks(t *testing.T) {
-	c := MustNew(32<<10, 4, 64) // 128 sets, 2 mask words
+	c := MustNew(32<<10, 4, 64, 0) // 128 sets, 2 mask words
 	c.Insert(3, Clean)
 	c.Insert(70, Dirty)
 
@@ -156,7 +149,7 @@ func TestAndSetMasks(t *testing.T) {
 // semantics: evictions count only displaced valid lines, dirty evictions
 // the dirty subset, invalidations only lines actually present.
 func TestStatsCounters(t *testing.T) {
-	c := MustNew(2*64, 1, 64) // 2 sets, direct-mapped: address parity picks the set
+	c := MustNew(2*64, 1, 64, 0) // 2 sets, direct-mapped: address parity picks the set
 	// Fill set 0 (addr 0, clean) and set 1 (addr 1, dirty).
 	c.Insert(0, Clean)
 	c.Insert(1, Dirty)

@@ -57,12 +57,10 @@ func (c *Cache) SaveState(st *Snapshot) {
 			st.setIdx = append(st.setIdx, int32(set))
 			ws := c.set(set)
 			for i := range ws {
-				if n < len(st.lines) {
-					copyLine(&st.lines[n], &ws[i])
-				} else {
+				if n == len(st.lines) {
 					st.lines = append(st.lines, Line{})
-					copyLine(&st.lines[len(st.lines)-1], &ws[i])
 				}
+				saveLine(&st.lines[n], &ws[i])
 				n++
 			}
 		}
@@ -93,7 +91,7 @@ func (c *Cache) LoadState(st *Snapshot) {
 	for k, set := range st.setIdx {
 		ws := c.set(int(set))
 		for i := range ws {
-			copyLine(&ws[i], &st.lines[k*st.ways+i])
+			c.restoreLine(&ws[i], &st.lines[k*st.ways+i])
 		}
 	}
 	c.clock = st.clock
@@ -104,23 +102,38 @@ func (c *Cache) LoadState(st *Snapshot) {
 	copy(c.dirtyMask, st.dirtyMask)
 }
 
-// copyLine deep-copies one line, reusing dst's Data buffer where capacity
-// allows. A nil source Data stays nil — the runtimes branch on Data
-// presence, so nil-ness is part of the state.
+// saveLine captures a cache line into a snapshot line. The snapshot owns
+// its Data buffers: one is sized on the first valid line captured into the
+// slot and reused by every later capture.
+func saveLine(dst, src *Line) {
+	if src.State != Invalid && len(dst.Data) < len(src.Data) {
+		dst.Data = make([]uint64, len(src.Data))
+	}
+	copyLine(dst, src)
+}
+
+// restoreLine copies a line into one of c's ways, giving the way its
+// arena buffer first if a valid line lands there, so the cache never
+// aliases the source's storage.
+func (c *Cache) restoreLine(dst, src *Line) {
+	if src.State != Invalid {
+		c.ensureData(dst)
+	}
+	copyLine(dst, src)
+}
+
+// copyLine copies src's tag fields into dst and, when src is valid, its
+// words into dst's own Data buffer, which the caller has sized. dst keeps
+// its buffer; an Invalid source's words are never read, so they are not
+// copied.
 //
 //bulklint:noalloc
 //bulklint:captures copyfrom Line
 func copyLine(dst, src *Line) {
 	data := dst.Data
 	*dst = *src
-	if src.Data == nil {
-		dst.Data = nil
-		return
-	}
-	if cap(data) < len(src.Data) {
-		data = make([]uint64, len(src.Data)) //bulklint:allow noalloc first capture sizes the pooled buffer; later captures reuse it
-	}
-	data = data[:len(src.Data)]
-	copy(data, src.Data)
 	dst.Data = data
+	if src.State != Invalid {
+		copy(data, src.Data)
+	}
 }

@@ -253,7 +253,7 @@ func NewSystem(w *Workload, opts Options) (*System, error) {
 	}
 	s.engine.SetScheduler(opts.Scheduler)
 	for i := range w.Procs {
-		c, err := cache.New(opts.CacheBytes, opts.CacheWays, opts.LineBytes)
+		c, err := cache.New(opts.CacheBytes, opts.CacheWays, opts.LineBytes, 0)
 		if err != nil {
 			return nil, err
 		}

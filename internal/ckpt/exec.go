@@ -138,7 +138,7 @@ func (s *System) access(p *proc, line uint64, write bool) int {
 		st = cache.Dirty
 	}
 	_, ev := p.cache.Insert(cache.LineAddr(line), st)
-	if ev != nil && ev.State == cache.Dirty {
+	if ev.State == cache.Dirty {
 		s.stats.Bandwidth.Record(bus.WB, bus.WritebackBytes)
 	}
 	s.stats.Bandwidth.Record(bus.Fill, bus.FillBytes)

@@ -22,6 +22,7 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 	sort.Strings(got)
 
 	want := []string{
+		"bulk/internal/bdm.Module.memoInSignature exported=false",
 		"bulk/internal/bus.Bandwidth.Record exported=true",
 		"bulk/internal/bus.Bandwidth.RecordCommit exported=true",
 		"bulk/internal/bus.Bandwidth.RecordN exported=true",
@@ -32,10 +33,11 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/cache.Cache.CopyFrom exported=true",
 		"bulk/internal/cache.Cache.DirtyInSet exported=true",
 		"bulk/internal/cache.Cache.DirtyLinesInSet exported=true",
-		"bulk/internal/cache.Cache.LinesInSet exported=true",
+		"bulk/internal/cache.Cache.Insert exported=true",
 		"bulk/internal/cache.Cache.Lookup exported=true",
 		"bulk/internal/cache.Cache.MarkClean exported=true",
 		"bulk/internal/cache.Cache.MarkDirty exported=true",
+		"bulk/internal/cache.Cache.ensureData exported=false",
 		"bulk/internal/cache.copyLine exported=false",
 		"bulk/internal/check.ReplayScheduler.Reset exported=true",
 		"bulk/internal/check.ReplayScheduler.Resume exported=true",
@@ -65,6 +67,7 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/mem.OverflowArea.DisambiguationScan exported=true",
 		"bulk/internal/mem.OverflowArea.Fetch exported=true",
 		"bulk/internal/mutate.Set.Has exported=true",
+		"bulk/internal/sig.Config.BitPositions exported=true",
 		"bulk/internal/sig.DecodePlan.DecodeInto exported=true",
 		"bulk/internal/sig.RLDecodeInto exported=true",
 		"bulk/internal/sig.RLEncodeAppend exported=true",
@@ -81,6 +84,8 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/sig.Signature.Contains exported=true",
 		"bulk/internal/sig.Signature.CopyFrom exported=true",
 		"bulk/internal/sig.Signature.Empty exported=true",
+		"bulk/internal/sig.Signature.HasBits exported=true",
+		"bulk/internal/sig.Signature.HasBitsAny exported=true",
 		"bulk/internal/sig.Signature.IntersectWith exported=true",
 		"bulk/internal/sig.Signature.Intersects exported=true",
 		"bulk/internal/sig.Signature.UnionWith exported=true",

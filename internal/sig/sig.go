@@ -314,6 +314,87 @@ func (s *Signature) Contains(a Addr) bool {
 	return true
 }
 
+// NumChunks returns the number of chunks (signature fields) n: the length
+// of a BitPositions result.
+func (c *Config) NumChunks() int { return len(c.chunks) }
+
+// BitPositions writes into pos[:NumChunks()] the absolute signature bit
+// index of each field for address a: exactly the bits Add(a) sets and
+// Contains(a) tests. A caller that keeps the positions of an address it
+// tests repeatedly (the BDM's per-way expansion memo) turns each later
+// membership test into HasBits, with no re-gathering or re-hashing.
+//
+//bulklint:noalloc
+func (c *Config) BitPositions(a Addr, pos []uint32) {
+	var vals [MaxChunks]uint32
+	for i, v := range c.fieldIndices(a, &vals) {
+		pos[i] = uint32(c.offsets[i]) + v
+	}
+}
+
+// WordDeltas returns the word-offset table of a line of wordsPerLine
+// words (a power of two): entry w*NumChunks()+i is what field i's
+// BitPositions entry of word address line*wordsPerLine+w adds to that of
+// word 0. The table is exact for bit-selected configurations: the word
+// bits of the address are disjoint from the line bits, each address bit
+// is gathered into its own field bit, so the field value of word w is the
+// line base's value OR w's value, over disjoint bits — a plain sum. A
+// hashed field mixes every address bit and has no such table; ok is then
+// false.
+func (c *Config) WordDeltas(wordsPerLine int) (deltas []uint32, ok bool) {
+	if c.hashed || wordsPerLine <= 0 || wordsPerLine&(wordsPerLine-1) != 0 {
+		return nil, false
+	}
+	n := len(c.chunks)
+	deltas = make([]uint32, wordsPerLine*n)
+	for w := 0; w < wordsPerLine; w++ {
+		c.fieldValues(Addr(w), deltas[w*n:(w+1)*n])
+	}
+	return deltas, true
+}
+
+// HasBits reports whether every bit position in pos is set: Contains for
+// the address whose BitPositions are pos.
+//
+//bulklint:noalloc
+func (s *Signature) HasBits(pos []uint32) bool {
+	for _, b := range pos {
+		if s.bits[b>>6]&(1<<(b&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// HasBitsAny reports whether some row of deltas (rows of len(base)
+// entries), added to base, names bits that are all set. With base the
+// BitPositions of a line's word 0 and deltas the WordDeltas table, it is
+// the any-word membership test of the line: Contains of each word, ORed.
+// An empty base names no row and reports false.
+//
+//bulklint:noalloc
+func (s *Signature) HasBitsAny(base, deltas []uint32) bool {
+	n := len(base)
+	if n == 0 {
+		return false
+	}
+	for r := 0; r+n <= len(deltas); r += n {
+		row := deltas[r : r+n]
+		hit := true
+		for i, b := range base {
+			b += row[i]
+			if s.bits[b>>6]&(1<<(b&63)) == 0 {
+				hit = false
+				break
+			}
+		}
+		if hit {
+			return true
+		}
+	}
+	return false
+}
+
 // Empty reports whether the signature encodes the empty set: at least one
 // Vi bit-field is all zeros (paper, Section 3.2). A signature into which at
 // least one address was added is never empty.

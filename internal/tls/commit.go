@@ -40,9 +40,9 @@ func (s *System) commitTask(t *task) {
 		s.stats.Bandwidth.RecordCommit(packetBytes)
 	case Bulk:
 		bits := sig.RLEncodedBits(t.version.W)
-		if t.version.Wsh != nil {
+		if wsh := t.version.Shadow(); wsh != nil {
 			// Partial Overlap sends both W and Wsh (Figure 9).
-			bits += sig.RLEncodedBits(t.version.Wsh)
+			bits += sig.RLEncodedBits(wsh)
 		}
 		packetBytes = bus.SignatureCommitBytes(bits)
 		s.stats.Bandwidth.RecordCommit(packetBytes)
@@ -141,8 +141,8 @@ func (s *System) disambiguateCommit(t *task) {
 			})
 		case Bulk:
 			wc := t.version.W
-			if firstChild && s.opts.PartialOverlap && t.version.Wsh != nil {
-				wc = t.version.Wsh
+			if wsh := t.version.Shadow(); firstChild && s.opts.PartialOverlap && wsh != nil {
+				wc = wsh
 			}
 			violated = s.procs[v.proc].module.Disambiguate(v.version, wc)
 			if s.opts.Probe != nil {

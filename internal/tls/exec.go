@@ -215,9 +215,6 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 	}
 	s.stats.Bandwidth.Record(bus.Fill, bus.FillBytes)
 	l, ev := p.cache.Insert(cache.LineAddr(line), cache.Clean)
-	if l.Data == nil {
-		l.Data = make([]uint64, s.wordsPerLine)
-	}
 	for w := 0; w < s.wordsPerLine; w++ {
 		word := base + uint64(w)
 		v, ok := uint64(0), false
@@ -231,7 +228,7 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 		}
 		l.Data[w] = v
 	}
-	if ev != nil && ev.State == cache.Dirty {
+	if ev.State == cache.Dirty {
 		// Speculative or not, the eviction is traffic; speculative values
 		// survive in the owning task's write buffer.
 		s.stats.Bandwidth.Record(bus.WB, bus.WritebackBytes)

@@ -158,7 +158,7 @@ func NewSystem(w *workload.TLSWorkload, opts Options) (*System, error) {
 	}
 	s.engine.SetScheduler(opts.Scheduler)
 	for i := 0; i < opts.Procs; i++ {
-		c, err := cache.New(opts.CacheBytes, opts.CacheWays, opts.LineBytes)
+		c, err := cache.New(opts.CacheBytes, opts.CacheWays, opts.LineBytes, s.wordsPerLine)
 		if err != nil {
 			return nil, err
 		}

@@ -62,7 +62,7 @@ func RunSequential(w *workload.TLSWorkload, params sim.Params, cacheBytes, ways,
 	if lineBytes == 0 {
 		lineBytes = 64
 	}
-	c, err := cache.New(cacheBytes, ways, lineBytes)
+	c, err := cache.New(cacheBytes, ways, lineBytes, 0)
 	if err != nil {
 		return 0, err
 	}

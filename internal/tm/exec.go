@@ -399,14 +399,11 @@ func (s *System) isSpecDirty(q *proc, line uint64) bool {
 // handles the eviction it may cause.
 func (s *System) insertLine(p *proc, line uint64, st cache.State) *cache.Line {
 	l, ev := p.cache.Insert(cache.LineAddr(line), st)
-	if l.Data == nil {
-		l.Data = make([]uint64, s.wordsPerLine)
-	}
 	base := line * uint64(s.wordsPerLine)
 	for w := 0; w < s.wordsPerLine; w++ {
 		l.Data[w] = uint64(s.mem.Read(base + uint64(w)))
 	}
-	if ev != nil && ev.State == cache.Dirty {
+	if ev.State == cache.Dirty {
 		s.handleDirtyEviction(p, uint64(ev.Addr))
 	}
 	return l

@@ -161,7 +161,7 @@ func NewSystem(w *workload.TMWorkload, opts Options) (*System, error) {
 	s.engine.SetScheduler(opts.Scheduler)
 	s.sigCfg = opts.SigConfig
 	for i := range w.Threads {
-		c, err := cache.New(opts.CacheBytes, opts.CacheWays, opts.LineBytes)
+		c, err := cache.New(opts.CacheBytes, opts.CacheWays, opts.LineBytes, s.wordsPerLine)
 		if err != nil {
 			return nil, err
 		}

@@ -47,6 +47,12 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	if err != nil {
 		t.Fatalf("NewWordMaskPlan: %v", err)
 	}
+	posBuf := make([]uint32, cfg.NumChunks())
+	cfg.BitPositions(1234, posBuf)
+	wordDeltas, ok := cfg.WordDeltas(16)
+	if !ok {
+		t.Fatal("WordDeltas: bit-selected config must have a word-offset table")
+	}
 
 	// Flat map and set, warmed past their final capacity, plus CopyFrom
 	// destinations pre-grown to the source size.
@@ -63,7 +69,7 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	fs2.CopyFrom(&fs)
 
 	// Cache with a mix of clean and dirty resident lines.
-	c := cache.MustNew(1<<15, 4, 64)
+	c := cache.MustNew(1<<15, 4, 64, 16)
 	for i := 0; i < 64; i++ {
 		st := cache.Clean
 		if i%2 == 0 {
@@ -72,10 +78,17 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		c.Insert(cache.LineAddr(i), st)
 	}
 	dirtyLine := c.Lookup(cache.LineAddr(0))
-	lineBuf := c.LinesInSet(0, nil)
+	lineBuf := c.DirtyLinesInSet(0, nil)
 	setMaskBuf := make([]uint64, (c.NumSets()+63)/64)
-	c2 := cache.MustNew(1<<15, 4, 64)
+	c2 := cache.MustNew(1<<15, 4, 64, 16)
 	c2.CopyFrom(c)
+	// A full cache for Insert: every call past the first lap evicts, and
+	// every way already owns its Data buffer.
+	ci := cache.MustNew(1<<12, 4, 64, 16)
+	next := cache.LineAddr(0)
+	for ; next < 2*64; next++ {
+		ci.Insert(next, cache.Dirty)
+	}
 
 	// Memory and overflow area.
 	m := mem.NewMemory()
@@ -98,9 +111,12 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	muts := mutate.Of(mutate.DropWRTerm, mutate.SkipWordMerge)
 
 	return map[string]func(){
-		"bulk/internal/mutate.Set.Has": func() { _ = muts.Has(mutate.DropWRTerm) },
+		"bulk/internal/mutate.Set.Has":              func() { _ = muts.Has(mutate.DropWRTerm) },
 		"bulk/internal/sig.Signature.Add":           func() { s1.Add(1234) },
 		"bulk/internal/sig.Signature.Contains":      func() { _ = s1.Contains(1234) },
+		"bulk/internal/sig.Config.BitPositions":     func() { cfg.BitPositions(1234, posBuf) },
+		"bulk/internal/sig.Signature.HasBits":       func() { _ = s1.HasBits(posBuf) },
+		"bulk/internal/sig.Signature.HasBitsAny":    func() { _ = s1.HasBitsAny(posBuf, wordDeltas) },
 		"bulk/internal/sig.Signature.Empty":         func() { _ = s1.Empty() },
 		"bulk/internal/sig.Signature.Zero":          func() { _ = s1.Zero() },
 		"bulk/internal/sig.Signature.Clear":         func() { scr.Clear() },
@@ -142,9 +158,9 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/cache.Cache.Lookup":          func() { _ = c.Lookup(3) },
 		"bulk/internal/cache.Cache.Contains":        func() { _ = c.Contains(3) },
 		"bulk/internal/cache.Cache.Access":          func() { _ = c.Access(3) },
+		"bulk/internal/cache.Cache.Insert":          func() { ci.Insert(next, cache.Clean); next++ },
 		"bulk/internal/cache.Cache.MarkClean":       func() { c.MarkClean(2) },
 		"bulk/internal/cache.Cache.MarkDirty":       func() { c.MarkDirty(dirtyLine) },
-		"bulk/internal/cache.Cache.LinesInSet":      func() { lineBuf = c.LinesInSet(0, lineBuf[:0]) },
 		"bulk/internal/cache.Cache.DirtyInSet":      func() { _ = c.DirtyInSet(0) },
 		"bulk/internal/cache.Cache.DirtyLinesInSet": func() { lineBuf = c.DirtyLinesInSet(0, lineBuf[:0]) },
 		"bulk/internal/cache.Cache.AndValidSets": func() {
@@ -156,10 +172,10 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/cache.Cache.AndDirtySets": func() { c.AndDirtySets(setMaskBuf) },
 		"bulk/internal/cache.Cache.CopyFrom":     func() { c2.CopyFrom(c) },
 
-		"bulk/internal/mem.Memory.Read":              func() { _ = m.Read(100) },
-		"bulk/internal/mem.Memory.Write":             func() { m.Write(100, 7) },
-		"bulk/internal/mem.Memory.CopyFrom":          func() { m2.CopyFrom(m) },
-		"bulk/internal/mem.Memory.AppendSortedAddrs": func() { addrBuf = m.AppendSortedAddrs(addrBuf[:0]) },
+		"bulk/internal/mem.Memory.Read":                     func() { _ = m.Read(100) },
+		"bulk/internal/mem.Memory.Write":                    func() { m.Write(100, 7) },
+		"bulk/internal/mem.Memory.CopyFrom":                 func() { m2.CopyFrom(m) },
+		"bulk/internal/mem.Memory.AppendSortedAddrs":        func() { addrBuf = m.AppendSortedAddrs(addrBuf[:0]) },
 		"bulk/internal/mem.OverflowArea.Fetch":              func() { _, _, _ = ov.Fetch(5) },
 		"bulk/internal/mem.OverflowArea.DisambiguationScan": func() { _ = ov.DisambiguationScan(5) },
 
