@@ -44,7 +44,7 @@ func main() {
 		schedules = flag.Int("schedules", 0, "override max schedules per target (0 = budget default)")
 		depth     = flag.Int("depth", 0, "override decision depth (0 = budget default)")
 		workers   = flag.Int("workers", 0, "explorer worker goroutines (0 = GOMAXPROCS); the report is identical at every count")
-		snapmem   = flag.Int("snapmem", -1, "fork-point snapshot cache budget in MiB (0 = full replay from the root, -1 = budget default); the report is identical at every budget")
+		snapmem   = flag.Int("snapmem", -1, "fork-point snapshot cache budget in MiB (0 = no fork-point cache, -1 = budget default); the report is identical at every budget")
 		seed      = flag.Uint64("seed", 2006, "random-walk seed")
 		deviate   = flag.Float64("deviate", 0.3, "random-walk per-decision deviation probability")
 		mutations = flag.String("mutations", "", "mutation audit: 'all' or comma-separated names (empty = sweep the unmutated tree)")
@@ -308,7 +308,7 @@ func validateFlags(workers, schedules, depth, snapmem int, deviate float64, budg
 		return fmt.Errorf("-depth %d is negative (0 means the budget default)", depth)
 	}
 	if snapmem < -1 {
-		return fmt.Errorf("-snapmem %d is out of domain (-1 = budget default, 0 = full replay, >0 = MiB)", snapmem)
+		return fmt.Errorf("-snapmem %d is out of domain (-1 = budget default, 0 = no fork-point cache, >0 = MiB)", snapmem)
 	}
 	if deviate < 0 || deviate > 1 {
 		return fmt.Errorf("-deviate %v is not a probability in [0, 1]", deviate)

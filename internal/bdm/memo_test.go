@@ -63,7 +63,7 @@ func refInSignature(m *Module, s *sig.Signature, line cache.LineAddr) bool {
 }
 
 // TestMemoMatchesContains drives random insert / evict / invalidate /
-// CopyFrom / SaveState+LoadState sequences under each module and requires
+// transplant / SaveState+LoadState sequences under each module and requires
 // the memoized membership of every valid way to equal Contains (any-word
 // Contains at word granularity), and every expansion to invalidate exactly
 // the clean lines the direct test selects, in set-then-way order.
@@ -79,7 +79,7 @@ func TestMemoMatchesContains(t *testing.T) {
 			// share every low tag bit.
 			randLine := func(r *rng.Rand) uint64 { return r.Uint64n(lineSpan) + r.Uint64n(8)<<18 }
 			other := cache.MustNew(nsets*ways*c.LineBytes(), ways, c.LineBytes(), 16)
-			var snap cache.Snapshot
+			var snap, xfer cache.Snapshot
 			saved := false
 			r := rng.New(uint64(len(tc.name)) * 977)
 
@@ -113,8 +113,9 @@ func TestMemoMatchesContains(t *testing.T) {
 					c.Invalidate(cache.LineAddr(randLine(r)))
 				case op < 14:
 					insert(other)
-				case op == 14:
-					c.CopyFrom(other)
+				case op == 14: // transplant other's whole contents into c
+					other.SaveState(&xfer)
+					c.LoadState(&xfer)
 				case op == 15:
 					c.SaveState(&snap)
 					saved = true

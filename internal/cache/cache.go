@@ -179,23 +179,6 @@ func (c *Cache) SetIndex(a LineAddr) int { return int(a) & (c.sets - 1) }
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// SizeBytes estimates the retained size for snapshot-budget accounting.
-// Data buffers are tallied for occupied sets only (via the valid mask), so
-// the estimate stays O(occupancy) like the copy itself.
-func (c *Cache) SizeBytes() int {
-	n := 96 + 48*len(c.lines) + 2*(len(c.validCnt)+len(c.dirtyCnt)) +
-		8*(len(c.validMask)+len(c.dirtyMask))
-	for w, m := range c.validMask {
-		for ; m != 0; m &= m - 1 {
-			ws := c.set(w<<6 + bits.TrailingZeros64(m))
-			for i := range ws {
-				n += 8 * cap(ws[i].Data)
-			}
-		}
-	}
-	return n
-}
-
 // set returns the ways of set i.
 func (c *Cache) set(i int) []Line { return c.lines[i*c.ways : (i+1)*c.ways] }
 
@@ -426,77 +409,4 @@ func (c *Cache) AndDirtySets(m []uint64) {
 	for i := range c.dirtyMask {
 		m[i] &= c.dirtyMask[i]
 	}
-}
-
-// CopyFrom makes c a deep copy of src, which must share c's geometry (the
-// snapshot pool always restores a system into an identically-configured
-// clone of itself). Valid lines' Data words are copied into c's own
-// buffers — a way that has none yet gets one from c's arena — so c never
-// aliases src's storage.
-//
-// The copy is sparse: only sets occupied on either side are touched (the
-// union of the two valid masks), which makes snapshot capture and restore
-// O(occupancy) instead of O(cache size). That is sufficient for exact
-// behavioral equality because nothing ever reads an Invalid way's Addr,
-// lru, or Data: Lookup filters on State, victim selection prefers Invalid
-// ways without comparing their lru, and Insert overwrites the tag fields
-// while the caller refills Data. A set unoccupied in both src and dst
-// already agrees on the only observable fact — every way Invalid.
-//
-//bulklint:noalloc
-//bulklint:captures copyfrom
-func (c *Cache) CopyFrom(src *Cache) {
-	if c == src {
-		return
-	}
-	if c.sets != src.sets || c.ways != src.ways || c.lineBytes != src.lineBytes || c.words != src.words {
-		panic("cache: CopyFrom across cache geometries") //bulklint:invariant snapshots restore into clones built from the same Options
-	}
-	for w := range c.validMask {
-		m := c.validMask[w] | src.validMask[w]
-		for ; m != 0; m &= m - 1 {
-			set := w<<6 + bits.TrailingZeros64(m)
-			for i := set * c.ways; i < (set+1)*c.ways; i++ {
-				c.restoreLine(&c.lines[i], &src.lines[i])
-			}
-		}
-	}
-	c.clock = src.clock
-	c.stats = src.stats
-	copy(c.validCnt, src.validCnt)
-	copy(c.dirtyCnt, src.dirtyCnt)
-	copy(c.validMask, src.validMask)
-	copy(c.dirtyMask, src.dirtyMask)
-}
-
-// Walk calls fn for every valid line. fn must not insert or invalidate.
-func (c *Cache) Walk(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
-		}
-	}
-}
-
-// CountState returns how many lines are in the given state.
-func (c *Cache) CountState(st State) int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].State == st {
-			n++
-		}
-	}
-	return n
-}
-
-// Flush invalidates every line. Dirty contents are the caller's problem
-// (the simulator writes back through the functional layer).
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i].State = Invalid
-	}
-	clear(c.validCnt)
-	clear(c.dirtyCnt)
-	clear(c.validMask)
-	clear(c.dirtyMask)
 }

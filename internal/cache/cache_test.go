@@ -153,25 +153,6 @@ func TestMarkClean(t *testing.T) {
 	c.MarkClean(1234) // absent: no-op, no panic
 }
 
-func TestWalkAndCountState(t *testing.T) {
-	c := MustNew(1024, 2, 64, 0)
-	c.Insert(1, Clean)
-	c.Insert(2, Dirty)
-	c.Insert(3, Dirty)
-	if got := c.CountState(Dirty); got != 2 {
-		t.Fatalf("CountState(Dirty)=%d, want 2", got)
-	}
-	n := 0
-	c.Walk(func(l *Line) { n++ })
-	if n != 3 {
-		t.Fatalf("Walk visited %d lines, want 3", n)
-	}
-	c.Flush()
-	if c.CountState(Clean)+c.CountState(Dirty) != 0 {
-		t.Fatal("Flush must invalidate everything")
-	}
-}
-
 func TestAccessStats(t *testing.T) {
 	c := MustNew(1024, 2, 64, 0)
 	if c.Access(7) != nil {

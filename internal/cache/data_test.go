@@ -52,8 +52,8 @@ func snapshotBuffers(st *Snapshot) map[*uint64]bool {
 
 // TestDataOwnership pins the cache-owned Data contract: no two ways share
 // a backing array, a way keeps its buffer across eviction and
-// invalidation, and neither CopyFrom nor LoadState makes the cache alias
-// the source's or the snapshot's buffers.
+// invalidation, and neither SaveState nor LoadState makes the cache alias
+// the snapshot's buffers.
 func TestDataOwnership(t *testing.T) {
 	c := MustNew(4*2*64, 2, 64, 4) // 4 sets, 2 ways, 4 words per line
 	l0, _ := c.Insert(0, Dirty)    // set 0
@@ -119,15 +119,6 @@ func TestDataOwnership(t *testing.T) {
 		}
 	}
 
-	cp := MustNew(4*2*64, 2, 64, 4)
-	cp.CopyFrom(c)
-	srcBufs := map[*uint64]bool{}
-	for i := range c.lines {
-		if c.lines[i].Data != nil {
-			srcBufs[backing(c.lines[i].Data)] = true
-		}
-	}
-	checkOwnData(t, cp, srcBufs)
 }
 
 // TestNoDataWithoutWords pins wordsPerLine 0: lines never carry Data.

@@ -80,8 +80,6 @@ func TestOccupancyRandomOps(t *testing.T) {
 				if l := c.Lookup(a); l != nil {
 					c.MarkDirty(l)
 				}
-			case r.Bool(0.01):
-				c.Flush()
 			default:
 				c.Access(a)
 			}

@@ -71,7 +71,10 @@ func (c *Cache) SaveState(st *Snapshot) {
 // LoadState restores the cache to the captured state: saved sets are
 // rewritten way by way, and sets occupied now but empty in the capture are
 // invalidated. Untouched sets were empty on both sides, where every
-// observable fact (all ways Invalid) already agrees.
+// observable fact (all ways Invalid) already agrees: nothing ever reads an
+// Invalid way's Addr, lru, or Data — Lookup filters on State, victim
+// selection prefers Invalid ways without comparing their lru, and Insert
+// overwrites the tag fields while the caller refills Data.
 //
 //bulklint:captures restore
 //bulklint:captures restore Snapshot

@@ -1,55 +1,54 @@
 package check
 
 import (
+	"fmt"
 	"testing"
 )
 
 // TestDefaultScheduleIsNoop is the tentpole invariant: installing a
 // scheduler that always takes choice 0 reproduces the nil-scheduler
-// execution exactly, for every protocol.
+// execution exactly, for every protocol. The replay runs on the pooled
+// runner; the nil-scheduler run is a fresh System.
 func TestDefaultScheduleIsNoop(t *testing.T) {
 	for _, tgt := range SweepTargets() {
-		base := tgt.Run(nil, 0)
+		base := freshRun(tgt, nil, 0)
 		if base.Failed() {
 			t.Fatalf("%s: default run fails: %s", tgt.Name(), base.Failure())
 		}
-		replayed := tgt.Run(NewReplay(nil, 64), 0)
+		replayed, _ := Replay(tgt, 0, nil, 64)
 		if replayed.Failed() {
 			t.Fatalf("%s: default replay fails: %s", tgt.Name(), replayed.Failure())
 		}
-		if base.Fingerprint != replayed.Fingerprint {
-			t.Errorf("%s: default replay diverges from nil-scheduler run (%#x vs %#x)",
-				tgt.Name(), replayed.Fingerprint, base.Fingerprint)
-		}
+		outcomesEqual(t, tgt.Name()+": default replay vs nil-scheduler run", replayed, base)
 	}
 }
 
-// TestReplayDeterminism re-executes the same non-default schedule twice and
-// expects identical outcomes.
+// TestReplayDeterminism re-executes the same non-default schedule twice on
+// one pooled runner and expects both outcomes to equal a fresh System's.
 func TestReplayDeterminism(t *testing.T) {
+	sched := []int{0, 1, 0, 1, 1}
 	for _, tgt := range SweepTargets() {
-		sched := []int{0, 1, 0, 1, 1}
-		a := tgt.Run(NewReplay(sched, 12), 0)
-		b := tgt.Run(NewReplay(sched, 12), 0)
-		if a.Fingerprint != b.Fingerprint {
-			t.Errorf("%s: schedule %v not deterministic (%#x vs %#x)",
-				tgt.Name(), sched, a.Fingerprint, b.Fingerprint)
+		want := freshRun(tgt, NewReplay(sched, 12), 0)
+		r := tgt.newRunner(0)
+		for pass := 1; pass <= 2; pass++ {
+			got, _ := replay(r, sched, 12)
+			outcomesEqual(t, fmt.Sprintf("%s: schedule %v pass %d", tgt.Name(), sched, pass), got, want)
 		}
 	}
 }
 
-// TestRandomWalkIsReplayable: a random walk's recorded schedule, replayed
-// deterministically, reproduces the walk's outcome.
+// TestRandomWalkIsReplayable: a random walk on the pooled runner, replayed
+// deterministically from its recorded schedule on a fresh System,
+// reproduces the walk's outcome.
 func TestRandomWalkIsReplayable(t *testing.T) {
 	for _, tgt := range SweepTargets() {
+		r := tgt.newRunner(0)
+		var walked Outcome
 		for seed := uint64(1); seed <= 8; seed++ {
 			walk := NewRandomWalk(12, seed, 0.4)
-			a := tgt.Run(walk, 0)
-			b := tgt.Run(NewReplay(walk.Schedule(), 12), 0)
-			if a.Fingerprint != b.Fingerprint {
-				t.Errorf("%s: walk seed %d schedule %v does not replay (%#x vs %#x)",
-					tgt.Name(), seed, walk.Schedule(), a.Fingerprint, b.Fingerprint)
-			}
+			r.run(&walked, walk, nil, false)
+			want := freshRun(tgt, NewReplay(walk.Schedule(), 12), 0)
+			outcomesEqual(t, fmt.Sprintf("%s: walk seed %d schedule %v", tgt.Name(), seed, walk.Schedule()), &walked, want)
 		}
 	}
 }

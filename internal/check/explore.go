@@ -15,12 +15,12 @@ import (
 type Budget struct {
 	MaxSchedules int
 	Depth        int
-	// SnapMem is the byte budget for the fork-point snapshot cache of the
-	// incremental execution engine. Positive values enable pooled runners
-	// with snapshot/resume for targets that support them (SnapTarget);
-	// zero or negative falls back to full replay via Target.Run. The
-	// explored set and report are byte-identical either way — the budget
-	// trades memory for speed only.
+	// SnapMem is the byte budget for the fork-point snapshot cache. Every
+	// schedule runs on a pooled runner; a positive budget additionally
+	// lets it resume from a cached fork point, while zero or negative
+	// means no fork-point cache (each schedule replays from the base
+	// state). The explored set and report are byte-identical either way —
+	// the budget trades memory for speed only.
 	SnapMem int64
 }
 
@@ -167,15 +167,12 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		fr.add(nil)
 	}
 
-	// Incremental engine: targets that expose pooled runners execute each
-	// schedule on a long-lived per-worker System restored between runs,
-	// sharing fork-point snapshots through a bounded cache, instead of
-	// rebuilding the world per schedule. Outcomes are byte-identical to the
-	// full-replay path, so this is purely a speed switch.
-	snapT, snapOK := t.(SnapTarget)
-	useSnap := snapOK && b.SnapMem > 0
+	// Each worker executes its schedules on one pooled System restored
+	// between runs. With a snapshot budget the workers also share
+	// fork-point snapshots through a bounded cache; outcomes are
+	// byte-identical without it, so the budget is purely a speed switch.
 	var cache *snapCache
-	if useSnap {
+	if b.SnapMem > 0 {
 		cache = newSnapCache(b.SnapMem)
 	}
 	var results []waveResult
@@ -213,21 +210,13 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		par.StealForEach(n, workers, func(w, i int) {
 			sc := &scratch[w]
 			sc.prefix = decodeRow(rows, length, i, sc.prefix)
-			if useSnap {
-				if sc.runner == nil && sc.runnerErr == nil {
-					sc.runner, sc.runnerErr = snapT.NewRunner(muts)
-					sc.sched = NewReplay(nil, 0)
-				}
-				if sc.runnerErr != nil {
-					results[i] = waveResult{out: Outcome{Err: sc.runnerErr}}
-					return
-				}
-				results[i].entry = sc.runner.RunSchedule(&results[i].out, sc.sched, sc.prefix, b.Depth, cache, capture)
-				results[i].kids = expandChildren(sc.sched.Trace(), length, seen, sc)
-				return
+			if sc.runner == nil {
+				sc.runner = t.newRunner(muts)
+				sc.sched = NewReplay(nil, 0)
 			}
-			sched := NewReplay(sc.prefix, b.Depth)
-			results[i] = waveResult{out: *t.Run(sched, muts), kids: expandChildren(sched.Trace(), length, seen, sc)}
+			sc.sched.Reset(sc.prefix, b.Depth)
+			results[i].entry = sc.runner.run(&results[i].out, sc.sched, cache, capture)
+			results[i].kids = expandChildren(sc.sched.Trace(), length, seen, sc)
 		})
 		// Reduce in canonical order. Everything order-sensitive — the
 		// schedule count, the Distinct tally, and the first failure —
@@ -244,7 +233,7 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 				rep.Schedules, rep.Distinct = counted, distinct
 				failing := decodeRow(rows, length, i, nil)
 				oc := results[i].out // off the pooled slice before minimize replays
-				rep.Failure = minimize(t, muts, b, failing, &oc)
+				rep.Failure = minimize(t.newRunner(muts), b, failing, &oc)
 				return rep, nil, nil
 			}
 			fr.addRows(results[i].kids)
@@ -309,16 +298,14 @@ func countEligibleRows(kids []byte, count int) int {
 
 // workerScratch is the per-worker reusable state of an exploration: the
 // decoded prefix, the rolling prefix hashes, the choice bytes of the
-// current trace, and — on the incremental path — the worker's pooled
-// runner and replay scheduler. Indexed by the stealing pool's worker id,
-// so no synchronization.
+// current trace, and the worker's pooled runner and replay scheduler.
+// Indexed by the stealing pool's worker id, so no synchronization.
 type workerScratch struct {
-	prefix    []int
-	hashes    []uint64
-	choices   []byte
-	runner    Runner
-	sched     *ReplayScheduler
-	runnerErr error
+	prefix  []int
+	hashes  []uint64
+	choices []byte
+	runner  runner
+	sched   *ReplayScheduler
 }
 
 // expandChildren emits every undiscovered child of an executed prefix as
@@ -370,9 +357,11 @@ func Walk(t Target, muts mutate.Set, b Budget, seed uint64, deviate float64) *Re
 	rep := &Report{Target: t.Name()}
 	var fps, seen flatmap.Set
 	r := rng.New(seed)
+	pool := t.newRunner(muts)
+	var out Outcome
 	for rep.Schedules+rep.Duplicates < b.MaxSchedules {
 		sched := NewRandomWalk(b.Depth, r.Uint64(), deviate)
-		out := t.Run(sched, muts)
+		pool.run(&out, sched, nil, false)
 		key := hashSchedule(sched.Schedule())
 		if seen.Has(key) {
 			rep.Duplicates++
@@ -385,7 +374,7 @@ func Walk(t Target, muts mutate.Set, b Budget, seed uint64, deviate float64) *Re
 			rep.Distinct++
 		}
 		if out.Failed() {
-			rep.Failure = minimize(t, muts, b, sched.Schedule(), out)
+			rep.Failure = minimize(pool, b, sched.Schedule(), &out)
 			break
 		}
 	}
@@ -398,14 +387,22 @@ func Replay(t Target, muts mutate.Set, schedule []int, depth int) (*Outcome, []S
 	if d := len(schedule); d > depth {
 		depth = d
 	}
+	return replay(t.newRunner(muts), schedule, depth)
+}
+
+// replay executes one schedule on r under a fresh scheduler, so the
+// returned outcome and trace own their storage — nothing of r's pooled
+// state reaches a caller's report.
+func replay(r runner, schedule []int, depth int) (*Outcome, []Step) {
 	sched := NewReplay(schedule, depth)
-	out := t.Run(sched, muts)
+	out := &Outcome{}
+	r.run(out, sched, nil, false)
 	return out, sched.Trace()
 }
 
 // minimize greedily reverts choices to the default, from the end of the
 // schedule backwards, keeping any revert that still fails.
-func minimize(t Target, muts mutate.Set, b Budget, schedule []int, out *Outcome) *Failure {
+func minimize(r runner, b Budget, schedule []int, out *Outcome) *Failure {
 	schedule = trimDefaults(schedule)
 	for i := len(schedule) - 1; i >= 0; i-- {
 		if i >= len(schedule) || schedule[i] == 0 {
@@ -415,11 +412,11 @@ func minimize(t Target, muts mutate.Set, b Budget, schedule []int, out *Outcome)
 		copy(cand, schedule)
 		cand[i] = 0
 		cand = trimDefaults(cand)
-		if o := t.Run(NewReplay(cand, b.Depth), muts); o.Failed() {
+		if o, _ := replay(r, cand, b.Depth); o.Failed() {
 			schedule, out = cand, o
 		}
 	}
-	_, steps := Replay(t, muts, schedule, b.Depth)
+	_, steps := replay(r, schedule, b.Depth)
 	return &Failure{
 		Schedule: schedule, Reason: out.Failure(), Outcome: out,
 		Steps: steps[:min(len(steps), len(schedule))],

@@ -3,11 +3,8 @@ package check
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
-
-	"bulk/internal/ckpt"
-	"bulk/internal/tls"
-	"bulk/internal/tm"
 )
 
 // TestSnapshotFieldParity is the reflection-based backstop behind the
@@ -20,84 +17,49 @@ import (
 // is exactly the point: the snapshot structs are the closed set of captured
 // state, and no field may escape the round trip.
 func TestSnapshotFieldParity(t *testing.T) {
-	type runtimeCase struct {
-		name string
-		// setup builds a system from the stock sweep workload and returns
-		// its drive/capture/restore hooks; snapshots are captured fresh
-		// (nil dst) so buffer reuse cannot mask a dropped copy.
-		setup func(t *testing.T) (run func(pause func() bool) (bool, error), snap func() any, restore func(any))
-	}
-	cases := []runtimeCase{
-		{name: "tm", setup: func(t *testing.T) (func(func() bool) (bool, error), func() any, func(any)) {
-			tgt := SweepTargets()[0].(*TMTarget)
-			sys, err := tm.NewSystem(tgt.Workload, tgt.Options)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sched := NewReplay(nil, 0)
-			sched.Reset(nil, 12)
-			sys.SetScheduler(sched)
-			return sys.RunUntil,
-				func() any { return sys.Snapshot(nil) },
-				func(s any) { sys.Restore(s.(*tm.Snapshot)) }
-		}},
-		{name: "tls", setup: func(t *testing.T) (func(func() bool) (bool, error), func() any, func(any)) {
-			tgt := SweepTargets()[1].(*TLSTarget)
-			sys, err := tls.NewSystem(tgt.Workload, tgt.Options)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sched := NewReplay(nil, 0)
-			sched.Reset(nil, 12)
-			sys.SetScheduler(sched)
-			return sys.RunUntil,
-				func() any { return sys.Snapshot(nil) },
-				func(s any) { sys.Restore(s.(*tls.Snapshot)) }
-		}},
-		{name: "ckpt", setup: func(t *testing.T) (func(func() bool) (bool, error), func() any, func(any)) {
-			tgt := SweepTargets()[2].(*CkptTarget)
-			sys, err := ckpt.NewSystem(tgt.Workload, tgt.Options)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sched := NewReplay(nil, 0)
-			sched.Reset(nil, 12)
-			sys.SetScheduler(sched)
-			return sys.RunUntil,
-				func() any { return sys.Snapshot(nil) },
-				func(s any) { sys.Restore(s.(*ckpt.Snapshot)) }
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			run, snap, restore := tc.setup(t)
-			// Advance past the first few quanta so the mid-run capture holds
-			// live speculative state, not the base image.
-			paused := 0
-			done, err := run(func() bool { paused++; return paused > 3 })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done {
-				t.Fatal("sweep workload finished before the mid-run capture; deepen it")
-			}
-			mid := snap()
-			// Mutate: run to completion, so every live field moves on.
-			if _, err := run(nil); err != nil {
-				t.Fatal(err)
-			}
-			end := snap()
+	for _, tgt := range SweepTargets() {
+		rt := tgt.(interface {
+			roundTrip(*testing.T) (mid, end, again any)
+		})
+		t.Run(strings.TrimSuffix(tgt.Name(), "-sweep"), func(t *testing.T) {
+			mid, end, again := rt.roundTrip(t)
 			if diff := deepDiff("", reflect.ValueOf(mid).Elem(), reflect.ValueOf(end).Elem()); diff == "" {
 				t.Fatal("completion snapshot is bit-identical to the mid-run capture; the parity check has no teeth")
 			}
-			// Restore and re-capture: every field must round-trip exactly.
-			restore(mid)
-			again := snap()
 			if diff := deepDiff("", reflect.ValueOf(mid).Elem(), reflect.ValueOf(again).Elem()); diff != "" {
 				t.Errorf("snapshot round trip dropped state at %s", diff)
 			}
 		})
 	}
+}
+
+// roundTrip builds the target's System and captures it three times: mid-run
+// (past the first few quanta, so the capture holds live speculative state),
+// at completion (every live field has moved on), and after restoring the
+// mid-run capture. Captures are fresh (zero reuse), so buffer reuse cannot
+// mask a dropped copy.
+func (tg *target[P, R]) roundTrip(t *testing.T) (mid, end, again any) {
+	sys, err := tg.build(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetScheduler(NewReplay(nil, 12))
+	paused := 0
+	done, err := sys.RunUntil(func() bool { paused++; return paused > 3 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done {
+		t.Fatal("sweep workload finished before the mid-run capture; deepen it")
+	}
+	var fresh P
+	m := sys.Snapshot(fresh)
+	if _, err := sys.RunUntil(nil); err != nil {
+		t.Fatal(err)
+	}
+	e := sys.Snapshot(fresh)
+	sys.Restore(m)
+	return m, e, sys.Snapshot(fresh)
 }
 
 // deepDiff walks two values of the same type and returns the dotted path of

@@ -1,94 +1,103 @@
 package check
 
-// Pooled incremental runners. The legacy Target.Run path builds a fresh
-// System, scheduler, and Outcome for every schedule; a Runner owns one
-// long-lived System per worker and drives it through many schedules by
-// restoring a base snapshot (or a cached fork-point snapshot) between
-// runs. The two paths produce byte-identical Outcomes — the differential
-// tests pin that — so the explorer switches on Budget.SnapMem freely.
+import "bulk/internal/mutate"
 
-// Runner executes schedules against a pooled system. Implementations are
-// not safe for concurrent use; the explorer gives each worker its own.
-type Runner interface {
-	// RunSchedule executes the schedule prefix at the given recording
-	// depth, filling out (which is reset first). With a non-nil cache the
-	// run may resume from a cached fork-point snapshot and, when capture
-	// is set, deposits its own fork-point capture for child schedules; the
+// The checker's one execution path. A runner owns one long-lived System
+// and drives it through many schedules by restoring a base snapshot (or a
+// cached fork-point snapshot) between runs instead of rebuilding it.
+// Exploration waves, random walks, replays and minimization all execute
+// through it; the snapshot cache is an optional speed-up on top, never a
+// second path.
+
+// runner executes schedules against a pooled system. Runners are not safe
+// for concurrent use; the explorer gives each worker its own.
+type runner interface {
+	// run executes the schedule sched was just Reset (or built) for,
+	// filling out (which is reset first). With a non-nil cache the run may
+	// resume from a cached fork-point snapshot and, when capture is set,
+	// deposits its own fork-point capture for child schedules; the
 	// deposited entry is returned (nil when no capture happened) so the
 	// explorer can retire it once its children are all accounted for. The
 	// explorer clears capture for runs whose children can never execute —
 	// a budget-truncated final wave — where a deposit would be pure waste.
-	RunSchedule(out *Outcome, sched *ReplayScheduler, prefix []int, depth int, cache *snapCache, capture bool) *snapEntry
+	run(out *Outcome, sched *ReplayScheduler, cache *snapCache, capture bool) *snapEntry
 }
 
-// runnerCore is the target-independent harness: the target-specific
-// NewRunner constructors fill the closures over a pooled System.
+// pooled is the runner of a target[P, R].
 //
 //bulklint:snapstate
-type runnerCore struct {
-	// run executes scheduling quanta until completion or pause
-	// (System.RunUntil).
-	run func(pause func() bool) (done bool, err error)
-	// restore rewinds the pooled system to a snapshot.
-	restore func(SnapState)
-	// snapshot captures the pooled system, reusing reuse when non-nil.
-	snapshot func(reuse SnapState) SnapState
-	// install points the pooled system at a replay scheduler.
-	install func(*ReplayScheduler)
-	// judge finishes a completed run: oracles plus fingerprint into out.
-	judge func(out *Outcome)
-
-	base SnapState // the system's state before any quantum
-	viol []string  // soundness-probe sink, reset per schedule
-	//bulklint:snapstate-ignore addrs fingerprint scratch touched only inside the judge closures
-	addrs []uint64 // fingerprint scratch for mixMemInto
+type pooled[P SnapState, R any] struct {
+	t     *target[P, R]
+	sys   system[P, R]
+	err   error    // build error, reported by every run
+	base  P        // the system's state before any quantum
+	viol  []string // soundness-probe sink, reset per schedule
+	res   R        // FinishInto buffer; the oracles read it transiently
+	addrs []uint64 // fingerprint scratch
 }
 
-// RunSchedule implements Runner.
+// newRunner implements Target.
+func (t *target[P, R]) newRunner(muts mutate.Set) runner {
+	r := &pooled[P, R]{t: t}
+	r.sys, r.err = t.build(muts, soundnessProbe(&r.viol))
+	if r.err == nil {
+		var fresh P
+		r.base = r.sys.Snapshot(fresh)
+	}
+	return r
+}
+
+// run implements runner.
 //
 //bulklint:captures reset
-func (r *runnerCore) RunSchedule(out *Outcome, sched *ReplayScheduler, prefix []int, depth int, cache *snapCache, capture bool) *snapEntry {
+func (r *pooled[P, R]) run(out *Outcome, sched *ReplayScheduler, cache *snapCache, capture bool) *snapEntry {
 	out.reset()
+	if r.err != nil {
+		out.Err = r.err
+		return nil
+	}
 	r.viol = r.viol[:0]
+	prefix := sched.prefix
 	var entry *snapEntry
 	if cache != nil {
 		entry = cache.lookup(prefix)
 	}
 	if entry != nil {
-		sched.Resume(prefix, depth, entry.count, entry.steps)
-		r.restore(entry.state)
+		sched.Resume(entry.count, entry.steps)
+		r.sys.Restore(entry.state.(P))
 		cache.release(entry)
 	} else {
-		sched.Reset(prefix, depth)
-		r.restore(r.base)
+		r.sys.Restore(r.base)
 	}
-	r.install(sched)
+	r.sys.SetScheduler(sched)
 	done := false
 	var err error
 	var captured *snapEntry
-	if cache != nil && capture && len(prefix) > 0 && len(prefix) < depth {
+	if cache != nil && capture && len(prefix) > 0 && len(prefix) < sched.depth {
 		// Fork-point capture: pause at the first tick boundary past the
 		// forced prefix — the state every child row of this prefix shares.
 		captureAt := len(prefix)
-		done, err = r.run(func() bool { return sched.Count() >= captureAt })
+		done, err = r.sys.RunUntil(func() bool { return sched.Count() >= captureAt })
 		if err == nil && !done {
-			st := r.snapshot(cache.takeSpare())
-			captured = cache.insert(prefix, sched.Count(), sched.Trace(), st)
+			spare, _ := cache.takeSpare().(P)
+			captured = cache.insert(prefix, sched.Count(), sched.Trace(), r.sys.Snapshot(spare))
 		}
 	}
 	if err == nil && !done {
-		_, err = r.run(nil)
+		_, err = r.sys.RunUntil(nil)
 	}
 	// Soundness violations land in the outcome whether or not the run
-	// errored, matching the legacy path.
+	// errored.
 	if len(r.viol) > 0 {
 		out.Soundness = append(out.Soundness, r.viol...)
 	}
 	if err != nil {
-		out.Err = err // fingerprint stays 0, as in the legacy path
+		out.Err = err // fingerprint stays 0
 		return captured
 	}
-	r.judge(out)
+	res := r.sys.FinishInto(&r.res)
+	out.OracleErr = r.t.verify(res)
+	out.Fingerprint = r.t.fingerprint(res, &r.addrs)
 	return captured
 }
 

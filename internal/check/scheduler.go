@@ -74,8 +74,8 @@ func NewRandomWalk(depth int, seed uint64, p float64) *ReplayScheduler {
 }
 
 // Reset reinitializes the scheduler for a fresh deterministic replay of
-// prefix, reusing the trace buffer's capacity. The pooled explorer path
-// calls this once per schedule instead of allocating a NewReplay.
+// prefix, reusing the trace buffer's capacity. The explorer calls this
+// once per schedule instead of allocating a NewReplay.
 //
 //bulklint:noalloc
 func (s *ReplayScheduler) Reset(prefix []int, depth int) {
@@ -85,17 +85,16 @@ func (s *ReplayScheduler) Reset(prefix []int, depth int) {
 	s.r, s.deviate = nil, 0
 }
 
-// Resume is Reset positioned mid-execution: the first count decisions have
-// already been taken (their recorded steps are in steps), as when the run
-// continues from a fork-point snapshot instead of the root. The resumed
-// scheduler's Count, Trace, and Schedule are indistinguishable from a
-// replay that executed those decisions itself.
+// Resume positions a just-Reset scheduler mid-execution: the first count
+// decisions have already been taken (their recorded steps are in steps),
+// as when the run continues from a fork-point snapshot instead of the
+// root. The resumed scheduler's Count, Trace, and Schedule are
+// indistinguishable from a replay that executed those decisions itself.
 //
 //bulklint:noalloc
-func (s *ReplayScheduler) Resume(prefix []int, depth, count int, steps []Step) {
-	s.Reset(prefix, depth)
+func (s *ReplayScheduler) Resume(count int, steps []Step) {
 	s.count = count
-	s.trace = append(s.trace, steps...) //bulklint:allow noalloc first resume grows the pooled trace buffer to depth; later resumes reuse it
+	s.trace = append(s.trace[:0], steps...) //bulklint:allow noalloc first resume grows the pooled trace buffer to depth; later resumes reuse it
 }
 
 // Count returns the total number of decisions the execution made.

@@ -11,261 +11,124 @@ import (
 )
 
 // Target is one system the checker can drive: a fixed workload plus
-// options, executed under a caller-supplied schedule and mutation set,
-// judged by the target's oracles.
+// options, executed under a schedule and mutation set, judged by the
+// target's oracles. The tm, tls and ckpt constructors below are its only
+// implementations.
 type Target interface {
 	Name() string
-	Run(sched sim.Scheduler, muts mutate.Set) *Outcome
+	// newRunner builds a pooled runner over one System with muts applied.
+	newRunner(muts mutate.Set) runner
 }
 
-// SnapTarget is a Target whose runtime supports pooled snapshot/resume
-// execution. NewRunner builds a long-lived runner the explorer drives
-// through many schedules without reconstructing the system.
-type SnapTarget interface {
-	Target
-	NewRunner(muts mutate.Set) (Runner, error)
+// system is the runtime contract the checker drives. tm.System,
+// tls.System and ckpt.System satisfy it, with P their *Snapshot and R
+// their Result.
+type system[P SnapState, R any] interface {
+	RunUntil(pause func() bool) (done bool, err error)
+	Snapshot(reuse P) P
+	Restore(P)
+	SetScheduler(sim.Scheduler)
+	FinishInto(*R) *R
 }
 
-// TMTarget checks a TM workload.
-type TMTarget struct {
-	TargetName string
-	Workload   *workload.TMWorkload
-	Options    tm.Options
-	// Check, when non-nil, is an extra oracle applied after Verify.
-	Check func(*tm.Result) error
-}
-
-// Name implements Target.
-func (t *TMTarget) Name() string { return t.TargetName }
-
-// Run implements Target.
-func (t *TMTarget) Run(sched sim.Scheduler, muts mutate.Set) *Outcome {
-	opts := t.Options
-	opts.Scheduler = sched
-	opts.Mutate = muts
-	out := &Outcome{}
-	opts.Probe = soundnessProbe(&out.Soundness)
-	r, err := tm.Run(t.Workload, opts)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	if err := tm.Verify(t.Workload, r); err != nil {
-		out.OracleErr = err
-	} else if t.Check != nil {
-		out.OracleErr = t.Check(r)
-	}
-	h := newFP()
-	var addrs []uint64
-	for _, u := range r.Log {
-		h.mix(uint64(u.Thread), uint64(u.Segment), uint64(u.OpLo), uint64(u.OpHi))
-	}
-	h.mixMemInto(r.Memory, &addrs)
-	h.mix(r.Stats.Commits, r.Stats.Squashes, uint64(r.Stats.Cycles))
-	out.Fingerprint = h.sum()
-	return out
-}
-
-// NewRunner implements SnapTarget: a pooled System restored between
-// schedules instead of rebuilt, with fork-point snapshot support.
-func (t *TMTarget) NewRunner(muts mutate.Set) (Runner, error) {
-	opts := t.Options
-	opts.Mutate = muts
-	r := &runnerCore{}
-	opts.Probe = soundnessProbe(&r.viol)
-	sys, err := tm.NewSystem(t.Workload, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.base = sys.Snapshot(nil)
-	r.run = sys.RunUntil
-	r.restore = func(st SnapState) { sys.Restore(st.(*tm.Snapshot)) }
-	r.snapshot = func(reuse SnapState) SnapState {
-		dst, _ := reuse.(*tm.Snapshot)
-		return sys.Snapshot(dst)
-	}
-	r.install = func(s *ReplayScheduler) { sys.SetScheduler(s) }
-	var resBuf tm.Result // reused across runs; oracles read it transiently
-	r.judge = func(out *Outcome) {
-		res := sys.FinishInto(&resBuf)
-		if err := tm.Verify(t.Workload, res); err != nil {
-			out.OracleErr = err
-		} else if t.Check != nil {
-			out.OracleErr = t.Check(res)
-		}
-		h := newFP()
-		for _, u := range res.Log {
-			h.mix(uint64(u.Thread), uint64(u.Segment), uint64(u.OpLo), uint64(u.OpHi))
-		}
-		h.mixMemInto(res.Memory, &r.addrs)
-		h.mix(res.Stats.Commits, res.Stats.Squashes, uint64(res.Stats.Cycles))
-		out.Fingerprint = h.sum()
-	}
-	return r, nil
-}
-
-// TLSTarget checks a TLS workload.
-type TLSTarget struct {
-	TargetName string
-	Workload   *workload.TLSWorkload
-	Options    tls.Options
-	Check      func(*tls.Result) error
+// target is the runtime-generic Target. Per runtime it needs three hooks;
+// everything else — pooling, snapshot/resume, the soundness probe — is
+// shared.
+type target[P SnapState, R any] struct {
+	name string
+	// build constructs the System with muts applied and probe installed.
+	build func(muts mutate.Set, probe *sim.Probe) (system[P, R], error)
+	// verify is the serializability oracle (plus any target-specific
+	// check) over a finished run's result.
+	verify func(*R) error
+	// fingerprint summarizes a finished run's observable outcome, reusing
+	// *addrs as scratch for the sorted memory image.
+	fingerprint func(res *R, addrs *[]uint64) uint64
 }
 
 // Name implements Target.
-func (t *TLSTarget) Name() string { return t.TargetName }
+func (t *target[P, R]) Name() string { return t.name }
 
-// Run implements Target.
-func (t *TLSTarget) Run(sched sim.Scheduler, muts mutate.Set) *Outcome {
-	opts := t.Options
-	opts.Scheduler = sched
-	opts.Mutate = muts
-	out := &Outcome{}
-	opts.Probe = soundnessProbe(&out.Soundness)
-	r, err := tls.Run(t.Workload, opts)
-	if err != nil {
-		out.Err = err
-		return out
+// newTMTarget checks a TM workload. check, when non-nil, is an extra
+// oracle applied after Verify.
+func newTMTarget(name string, w *workload.TMWorkload, opts tm.Options, check func(*tm.Result) error) Target {
+	return &target[*tm.Snapshot, tm.Result]{
+		name: name,
+		build: func(muts mutate.Set, probe *sim.Probe) (system[*tm.Snapshot, tm.Result], error) {
+			o := opts
+			o.Mutate, o.Probe = muts, probe
+			return tm.NewSystem(w, o)
+		},
+		verify: func(r *tm.Result) error {
+			if err := tm.Verify(w, r); err != nil || check == nil {
+				return err
+			}
+			return check(r)
+		},
+		fingerprint: func(r *tm.Result, addrs *[]uint64) uint64 {
+			h := fp(fnvOffset)
+			for _, u := range r.Log {
+				h.mix(uint64(u.Thread), uint64(u.Segment), uint64(u.OpLo), uint64(u.OpHi))
+			}
+			h.mixMemInto(r.Memory, addrs)
+			h.mix(r.Stats.Commits, r.Stats.Squashes, uint64(r.Stats.Cycles))
+			return h.sum()
+		},
 	}
-	if err := tls.Verify(t.Workload, r); err != nil {
-		out.OracleErr = err
-	} else if t.Check != nil {
-		out.OracleErr = t.Check(r)
-	}
-	h := newFP()
-	var addrs []uint64
-	h.mixMemInto(r.Memory, &addrs)
-	h.mix(r.Stats.Commits, r.Stats.Squashes, r.Stats.CascadeSquashes,
-		uint64(r.Stats.Cycles))
-	out.Fingerprint = h.sum()
-	return out
 }
 
-// NewRunner implements SnapTarget.
-func (t *TLSTarget) NewRunner(muts mutate.Set) (Runner, error) {
-	opts := t.Options
-	opts.Mutate = muts
-	r := &runnerCore{}
-	opts.Probe = soundnessProbe(&r.viol)
-	sys, err := tls.NewSystem(t.Workload, opts)
-	if err != nil {
-		return nil, err
+// newTLSTarget checks a TLS workload.
+func newTLSTarget(name string, w *workload.TLSWorkload, opts tls.Options) Target {
+	return &target[*tls.Snapshot, tls.Result]{
+		name: name,
+		build: func(muts mutate.Set, probe *sim.Probe) (system[*tls.Snapshot, tls.Result], error) {
+			o := opts
+			o.Mutate, o.Probe = muts, probe
+			return tls.NewSystem(w, o)
+		},
+		verify: func(r *tls.Result) error { return tls.Verify(w, r) },
+		fingerprint: func(r *tls.Result, addrs *[]uint64) uint64 {
+			h := fp(fnvOffset)
+			h.mixMemInto(r.Memory, addrs)
+			h.mix(r.Stats.Commits, r.Stats.Squashes, r.Stats.CascadeSquashes,
+				uint64(r.Stats.Cycles))
+			return h.sum()
+		},
 	}
-	r.base = sys.Snapshot(nil)
-	r.run = sys.RunUntil
-	r.restore = func(st SnapState) { sys.Restore(st.(*tls.Snapshot)) }
-	r.snapshot = func(reuse SnapState) SnapState {
-		dst, _ := reuse.(*tls.Snapshot)
-		return sys.Snapshot(dst)
-	}
-	r.install = func(s *ReplayScheduler) { sys.SetScheduler(s) }
-	var resBuf tls.Result // reused across runs; oracles read it transiently
-	r.judge = func(out *Outcome) {
-		res := sys.FinishInto(&resBuf)
-		if err := tls.Verify(t.Workload, res); err != nil {
-			out.OracleErr = err
-		} else if t.Check != nil {
-			out.OracleErr = t.Check(res)
-		}
-		h := newFP()
-		h.mixMemInto(res.Memory, &r.addrs)
-		h.mix(res.Stats.Commits, res.Stats.Squashes, res.Stats.CascadeSquashes,
-			uint64(res.Stats.Cycles))
-		out.Fingerprint = h.sum()
-	}
-	return r, nil
 }
 
-// CkptTarget checks a checkpointed-multiprocessor workload.
-type CkptTarget struct {
-	TargetName string
-	Workload   *ckpt.Workload
-	Options    ckpt.Options
-	Check      func(*ckpt.Result) error
+// newCkptTarget checks a checkpointed-multiprocessor workload.
+func newCkptTarget(name string, w *ckpt.Workload, opts ckpt.Options) Target {
+	return &target[*ckpt.Snapshot, ckpt.Result]{
+		name: name,
+		build: func(muts mutate.Set, probe *sim.Probe) (system[*ckpt.Snapshot, ckpt.Result], error) {
+			o := opts
+			o.Mutate, o.Probe = muts, probe
+			return ckpt.NewSystem(w, o)
+		},
+		verify: func(r *ckpt.Result) error { return ckpt.Verify(w, r) },
+		fingerprint: func(r *ckpt.Result, addrs *[]uint64) uint64 {
+			h := fp(fnvOffset)
+			for _, u := range r.Log {
+				h.mix(uint64(u.Proc), uint64(u.Unit), uint64(int64(u.Op)))
+			}
+			h.mixMemInto(r.Memory, addrs)
+			h.mix(r.Stats.Episodes, r.Stats.Rollbacks, uint64(r.Stats.Cycles))
+			return h.sum()
+		},
+	}
 }
 
-// Name implements Target.
-func (t *CkptTarget) Name() string { return t.TargetName }
-
-// Run implements Target.
-func (t *CkptTarget) Run(sched sim.Scheduler, muts mutate.Set) *Outcome {
-	opts := t.Options
-	opts.Scheduler = sched
-	opts.Mutate = muts
-	out := &Outcome{}
-	opts.Probe = soundnessProbe(&out.Soundness)
-	r, err := ckpt.Run(t.Workload, opts)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	if err := ckpt.Verify(t.Workload, r); err != nil {
-		out.OracleErr = err
-	} else if t.Check != nil {
-		out.OracleErr = t.Check(r)
-	}
-	h := newFP()
-	var addrs []uint64
-	for _, u := range r.Log {
-		h.mix(uint64(u.Proc), uint64(u.Unit), uint64(int64(u.Op)))
-	}
-	h.mixMemInto(r.Memory, &addrs)
-	h.mix(r.Stats.Episodes, r.Stats.Rollbacks, uint64(r.Stats.Cycles))
-	out.Fingerprint = h.sum()
-	return out
-}
-
-// NewRunner implements SnapTarget.
-func (t *CkptTarget) NewRunner(muts mutate.Set) (Runner, error) {
-	opts := t.Options
-	opts.Mutate = muts
-	r := &runnerCore{}
-	opts.Probe = soundnessProbe(&r.viol)
-	sys, err := ckpt.NewSystem(t.Workload, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.base = sys.Snapshot(nil)
-	r.run = sys.RunUntil
-	r.restore = func(st SnapState) { sys.Restore(st.(*ckpt.Snapshot)) }
-	r.snapshot = func(reuse SnapState) SnapState {
-		dst, _ := reuse.(*ckpt.Snapshot)
-		return sys.Snapshot(dst)
-	}
-	r.install = func(s *ReplayScheduler) { sys.SetScheduler(s) }
-	var resBuf ckpt.Result // reused across runs; oracles read it transiently
-	r.judge = func(out *Outcome) {
-		res := sys.FinishInto(&resBuf)
-		if err := ckpt.Verify(t.Workload, res); err != nil {
-			out.OracleErr = err
-		} else if t.Check != nil {
-			out.OracleErr = t.Check(res)
-		}
-		h := newFP()
-		for _, u := range res.Log {
-			h.mix(uint64(u.Proc), uint64(u.Unit), uint64(int64(u.Op)))
-		}
-		h.mixMemInto(res.Memory, &r.addrs)
-		h.mix(res.Stats.Episodes, res.Stats.Rollbacks, uint64(res.Stats.Cycles))
-		out.Fingerprint = h.sum()
-	}
-	return r, nil
-}
-
-// fp is an FNV-1a outcome fingerprint accumulator.
+// fp is an FNV-1a outcome fingerprint accumulator; start one at
+// fp(fnvOffset).
 type fp uint64
-
-func newFP() *fp {
-	f := fp(14695981039346656037)
-	return &f
-}
 
 func (f *fp) mix(vs ...uint64) {
 	x := uint64(*f)
 	for _, v := range vs {
 		for i := 0; i < 8; i++ {
 			x ^= v & 0xff
-			x *= 1099511628211
+			x *= fnvPrime
 			v >>= 8
 		}
 	}
@@ -273,9 +136,7 @@ func (f *fp) mix(vs ...uint64) {
 }
 
 // mixMemInto folds the committed memory image into the fingerprint in
-// ascending address order, reusing *scratch for the sorted address list —
-// the pooled runners' replacement for the old Snapshot-map walk, mixing
-// exactly the same (addr, value) byte sequence.
+// ascending address order, reusing *scratch for the sorted address list.
 func (f *fp) mixMemInto(m *mem.Memory, scratch *[]uint64) {
 	*scratch = m.AppendSortedAddrs((*scratch)[:0])
 	for _, a := range *scratch {

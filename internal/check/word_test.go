@@ -16,29 +16,22 @@ import (
 // path must actually fire on at least one of those schedules.
 func TestDisjointWordWritesNeverSquash(t *testing.T) {
 	var merges atomic.Uint64
-	tgt := &TMTarget{
-		TargetName: "tm-word-disjoint",
-		Workload: tmWorkload("word-disjoint",
-			[]workload.TMSegment{
-				txn(wr(wordOf(lineL, 0)), wd(wordOf(lineB, 0))),
-			},
-			[]workload.TMSegment{
-				txn(wr(wordOf(lineL, 1)), wd(wordOf(lineP0, 0))),
-			},
-		),
-		Options: func() tm.Options {
-			o := tm.NewOptions(tm.Bulk)
-			o.WordGranularity = true
-			return o
-		}(),
-		Check: func(r *tm.Result) error {
-			merges.Add(r.Stats.Merges)
-			if r.Stats.Squashes != 0 {
-				return fmt.Errorf("disjoint-word conflict squashed %d times; Updated Word Bitmask merge should have absorbed it", r.Stats.Squashes)
-			}
-			return nil
+	opts := tm.NewOptions(tm.Bulk)
+	opts.WordGranularity = true
+	tgt := newTMTarget("tm-word-disjoint", tmWorkload("word-disjoint",
+		[]workload.TMSegment{
+			txn(wr(wordOf(lineL, 0)), wd(wordOf(lineB, 0))),
 		},
-	}
+		[]workload.TMSegment{
+			txn(wr(wordOf(lineL, 1)), wd(wordOf(lineP0, 0))),
+		},
+	), opts, func(r *tm.Result) error {
+		merges.Add(r.Stats.Merges)
+		if r.Stats.Squashes != 0 {
+			return fmt.Errorf("disjoint-word conflict squashed %d times; Updated Word Bitmask merge should have absorbed it", r.Stats.Squashes)
+		}
+		return nil
+	})
 	rep := Explore(tgt, 0, Budget{MaxSchedules: 50_000, Depth: 6})
 	if rep.Failure != nil {
 		t.Fatalf("schedule %s: %s", FormatSchedule(rep.Failure.Schedule), rep.Failure.Reason)

@@ -32,9 +32,9 @@ func wordOf(line uint64, w int) uint64 {
 	return line*workload.WordsPerLine + uint64(w)
 }
 
-func rd(a uint64) trace.Op  { return trace.Op{Kind: trace.Read, Addr: a} }
-func wr(a uint64) trace.Op  { return trace.Op{Kind: trace.Write, Addr: a} }
-func wd(a uint64) trace.Op  { return trace.Op{Kind: trace.WriteDep, Addr: a} }
+func rd(a uint64) trace.Op { return trace.Op{Kind: trace.Read, Addr: a} }
+func wr(a uint64) trace.Op { return trace.Op{Kind: trace.Write, Addr: a} }
+func wd(a uint64) trace.Op { return trace.Op{Kind: trace.WriteDep, Addr: a} }
 func think(op trace.Op, t int) trace.Op {
 	op.Think = uint16(t)
 	return op
@@ -56,12 +56,12 @@ func tmWorkload(name string, threads ...[]workload.TMSegment) *workload.TMWorklo
 	return w
 }
 
-func tmTarget(name string, w *workload.TMWorkload, mod func(*tm.Options)) *TMTarget {
+func tmTarget(name string, w *workload.TMWorkload, mod func(*tm.Options)) Target {
 	opts := tm.NewOptions(tm.Bulk)
 	if mod != nil {
 		mod(&opts)
 	}
-	return &TMTarget{TargetName: name, Workload: w, Options: opts}
+	return newTMTarget(name, w, opts, nil)
 }
 
 // --- Directed TM targets ---
@@ -174,10 +174,10 @@ func spillTarget() Target {
 
 // --- Directed TLS targets ---
 
-func tlsTarget(name string, w *workload.TLSWorkload, procs int) *TLSTarget {
+func tlsTarget(name string, w *workload.TLSWorkload, procs int) Target {
 	opts := tls.NewOptions(tls.Bulk)
 	opts.Procs = procs
-	return &TLSTarget{TargetName: name, Workload: w, Options: opts}
+	return newTLSTarget(name, w, opts)
 }
 
 // shadowTarget kills DropShadowWrite: task0 writes A after spawning task1,
@@ -219,25 +219,20 @@ func cascadeTarget() Target {
 // between the episode's reads and its commit, where only the stalled-
 // restart check preserves atomicity.
 func stalledTarget() Target {
-	opts := ckpt.NewOptions(ckpt.Stall)
-	return &CkptTarget{
-		TargetName: "ckpt-stalled",
-		Workload: &ckpt.Workload{
-			Name: "stalled",
-			Procs: []ckpt.ProcStream{
-				{Units: []ckpt.Unit{{Episode: &ckpt.Episode{
-					MissAddr:  wordOf(lineS, 0),
-					PredictOK: true,
-					Ops:       []trace.Op{wd(wordOf(lineB, 0))},
-				}}}},
-				{Units: []ckpt.Unit{{Plain: []trace.Op{
-					think(rd(wordOf(lineP1, 0)), 450),
-					wr(wordOf(lineS, 0)),
-				}}}},
-			},
+	return newCkptTarget("ckpt-stalled", &ckpt.Workload{
+		Name: "stalled",
+		Procs: []ckpt.ProcStream{
+			{Units: []ckpt.Unit{{Episode: &ckpt.Episode{
+				MissAddr:  wordOf(lineS, 0),
+				PredictOK: true,
+				Ops:       []trace.Op{wd(wordOf(lineB, 0))},
+			}}}},
+			{Units: []ckpt.Unit{{Plain: []trace.Op{
+				think(rd(wordOf(lineP1, 0)), 450),
+				wr(wordOf(lineS, 0)),
+			}}}},
 		},
-		Options: opts,
-	}
+	}, ckpt.NewOptions(ckpt.Stall))
 }
 
 // --- Sweep targets (unmutated exhaustive exploration) ---
@@ -267,34 +262,27 @@ func SweepTargets() []Target {
 				{Ops: []trace.Op{rd(wordOf(lineB, 0)), wd(wordOf(lineS, 0))}, SpawnIndex: 1},
 			},
 		}, 3),
-		func() Target {
-			opts := ckpt.NewOptions(ckpt.Bulk)
-			return &CkptTarget{
-				TargetName: "ckpt-sweep",
-				Workload: &ckpt.Workload{
-					Name: "sweep",
-					Procs: []ckpt.ProcStream{
-						{Units: []ckpt.Unit{
-							{Plain: []trace.Op{wr(wordOf(lineS, 0))}},
-							{Episode: &ckpt.Episode{
-								MissAddr:  wordOf(lineS, 0),
-								PredictOK: true,
-								Ops:       []trace.Op{rd(wordOf(lineA, 0)), wd(wordOf(lineB, 0))},
-							}},
-						}},
-						{Units: []ckpt.Unit{
-							{Episode: &ckpt.Episode{
-								MissAddr:  wordOf(lineA, 0),
-								PredictOK: true,
-								Ops:       []trace.Op{wd(wordOf(lineS, 0))},
-							}},
-							{Plain: []trace.Op{wr(wordOf(lineA, 0))}},
-						}},
-					},
-				},
-				Options: opts,
-			}
-		}(),
+		newCkptTarget("ckpt-sweep", &ckpt.Workload{
+			Name: "sweep",
+			Procs: []ckpt.ProcStream{
+				{Units: []ckpt.Unit{
+					{Plain: []trace.Op{wr(wordOf(lineS, 0))}},
+					{Episode: &ckpt.Episode{
+						MissAddr:  wordOf(lineS, 0),
+						PredictOK: true,
+						Ops:       []trace.Op{rd(wordOf(lineA, 0)), wd(wordOf(lineB, 0))},
+					}},
+				}},
+				{Units: []ckpt.Unit{
+					{Episode: &ckpt.Episode{
+						MissAddr:  wordOf(lineA, 0),
+						PredictOK: true,
+						Ops:       []trace.Op{wd(wordOf(lineS, 0))},
+					}},
+					{Plain: []trace.Op{wr(wordOf(lineA, 0))}},
+				}},
+			},
+		}, ckpt.NewOptions(ckpt.Bulk)),
 	}
 }
 

@@ -281,10 +281,6 @@ func Run(w *Workload, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
-}
-
-func (s *System) run() (*Result, error) {
 	if _, err := s.RunUntil(nil); err != nil {
 		return nil, err
 	}
@@ -364,9 +360,6 @@ func (s *System) SetScheduler(sched sim.Scheduler) {
 	s.opts.Scheduler = sched
 	s.engine.SetScheduler(sched)
 }
-
-// SetProbe swaps the oracle probe alongside SetScheduler.
-func (s *System) SetProbe(p *sim.Probe) { s.opts.Probe = p }
 
 // GenerateWorkload builds a deterministic workload: each processor runs
 // episodes of speculative work over private lines plus occasional shared

@@ -105,8 +105,8 @@ func (s *System) Snapshot(dst *Snapshot) *Snapshot {
 }
 
 // Restore rewinds the system to a previously captured state. The scheduler
-// and probe are not part of the state — reinstall them with SetScheduler /
-// SetProbe before resuming.
+// and probe are not part of the state: reinstall the scheduler with
+// SetScheduler before resuming; the probe given to NewSystem stays.
 //
 //bulklint:captures restore
 //bulklint:captures restore Snapshot procSnap proc

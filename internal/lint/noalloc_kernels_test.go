@@ -30,7 +30,6 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/cache.Cache.AndDirtySets exported=true",
 		"bulk/internal/cache.Cache.AndValidSets exported=true",
 		"bulk/internal/cache.Cache.Contains exported=true",
-		"bulk/internal/cache.Cache.CopyFrom exported=true",
 		"bulk/internal/cache.Cache.DirtyInSet exported=true",
 		"bulk/internal/cache.Cache.DirtyLinesInSet exported=true",
 		"bulk/internal/cache.Cache.Insert exported=true",

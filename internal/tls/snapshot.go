@@ -129,9 +129,10 @@ func (s *System) Snapshot(dst *Snapshot) *Snapshot {
 }
 
 // Restore rewinds the system to a previously captured state. The scheduler
-// and probe are not part of the state — reinstall them with SetScheduler /
-// SetProbe before resuming. Modules are reloaded before task versions are
-// re-resolved, so version pointers always land in the reloaded tables.
+// and probe are not part of the state: reinstall the scheduler with
+// SetScheduler before resuming; the probe given to NewSystem stays. Modules
+// are reloaded before task versions are re-resolved, so version pointers
+// always land in the reloaded tables.
 //
 //bulklint:captures restore
 //bulklint:captures restore Snapshot procSnap taskSnap proc task

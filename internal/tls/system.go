@@ -203,10 +203,6 @@ func Run(w *workload.TLSWorkload, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
-}
-
-func (s *System) run() (*Result, error) {
 	if _, err := s.RunUntil(nil); err != nil {
 		return nil, err
 	}
@@ -285,9 +281,6 @@ func (s *System) SetScheduler(sched sim.Scheduler) {
 	s.opts.Scheduler = sched
 	s.engine.SetScheduler(sched)
 }
-
-// SetProbe swaps the oracle probe alongside SetScheduler.
-func (s *System) SetProbe(p *sim.Probe) { s.opts.Probe = p }
 
 // currentTask returns the oldest runnable task on p. blocked reports that
 // the oldest pending task is gated on its parent's re-spawn — the

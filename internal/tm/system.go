@@ -209,10 +209,6 @@ func Run(w *workload.TMWorkload, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
-}
-
-func (s *System) run() (*Result, error) {
 	if _, err := s.RunUntil(nil); err != nil {
 		return nil, err
 	}
@@ -297,9 +293,6 @@ func (s *System) SetScheduler(sched sim.Scheduler) {
 	s.opts.Scheduler = sched
 	s.engine.SetScheduler(sched)
 }
-
-// SetProbe swaps the oracle probe alongside SetScheduler.
-func (s *System) SetProbe(p *sim.Probe) { s.opts.Probe = p }
 
 func (s *System) collectModuleStats() {
 	for _, p := range s.procs {

@@ -1,60 +1,28 @@
 package workload
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
-
-	"bulk/internal/trace"
 )
 
 // Workload generation is a pure function of (profile, seed): two fresh
 // generators must produce identical access streams, or schedule replay,
 // the result cache keyed by (exhibit, config, seed), and every
-// byte-identity claim in the tree fall apart. The comparison is over the
-// canonical trace encoding, so it covers kind, address and think time of
-// every op.
-
-func encodeTM(w *TMWorkload) []byte {
-	var buf bytes.Buffer
-	for _, th := range w.Threads {
-		for _, seg := range th.Segments {
-			if seg.Txn {
-				buf.WriteByte(1)
-			} else {
-				buf.WriteByte(0)
-			}
-			for _, s := range seg.Sections {
-				buf.WriteByte(byte(s))
-				buf.WriteByte(byte(s >> 8))
-			}
-			buf.Write(trace.EncodeOps(seg.Ops))
-		}
-	}
-	return buf.Bytes()
-}
-
-func encodeTLS(w *TLSWorkload) []byte {
-	var buf bytes.Buffer
-	for _, task := range w.Tasks {
-		buf.WriteByte(byte(task.SpawnIndex))
-		buf.WriteByte(byte(task.SpawnIndex >> 8))
-		buf.Write(trace.EncodeOps(task.Ops))
-	}
-	return buf.Bytes()
-}
+// byte-identity claim in the tree fall apart. The comparison is a deep
+// equality over the whole generated workload, so it covers kind, address,
+// think time and dependence of every op plus all segment, section and
+// spawn structure.
 
 func TestTMGenerationDeterministic(t *testing.T) {
 	for _, p := range TMProfiles() {
 		for _, seed := range []uint64{2006, 0, 0xdeadbeef} {
-			a := encodeTM(GenerateTM(p, seed))
-			b := encodeTM(GenerateTM(p, seed))
-			if !bytes.Equal(a, b) {
+			if !reflect.DeepEqual(GenerateTM(p, seed), GenerateTM(p, seed)) {
 				t.Fatalf("%s seed %d: two fresh generators disagree", p.Name, seed)
 			}
 		}
 		// Different seeds must actually change the stream (the generator
 		// is seeded, not constant).
-		if bytes.Equal(encodeTM(GenerateTM(p, 1)), encodeTM(GenerateTM(p, 2))) {
+		if reflect.DeepEqual(GenerateTM(p, 1), GenerateTM(p, 2)) {
 			t.Fatalf("%s: seeds 1 and 2 generate identical streams", p.Name)
 		}
 	}
@@ -63,13 +31,11 @@ func TestTMGenerationDeterministic(t *testing.T) {
 func TestTLSGenerationDeterministic(t *testing.T) {
 	for _, p := range TLSProfiles() {
 		for _, seed := range []uint64{2006, 0, 0xdeadbeef} {
-			a := encodeTLS(GenerateTLS(p, seed))
-			b := encodeTLS(GenerateTLS(p, seed))
-			if !bytes.Equal(a, b) {
+			if !reflect.DeepEqual(GenerateTLS(p, seed), GenerateTLS(p, seed)) {
 				t.Fatalf("%s seed %d: two fresh generators disagree", p.Name, seed)
 			}
 		}
-		if bytes.Equal(encodeTLS(GenerateTLS(p, 1)), encodeTLS(GenerateTLS(p, 2))) {
+		if reflect.DeepEqual(GenerateTLS(p, 1), GenerateTLS(p, 2)) {
 			t.Fatalf("%s: seeds 1 and 2 generate identical streams", p.Name)
 		}
 	}
@@ -85,13 +51,13 @@ func FuzzWorkloadLayout(f *testing.F) {
 		tmProfiles := TMProfiles()
 		tp := tmProfiles[int(pick)%len(tmProfiles)]
 		tp.TxnsPerThread = int(size%32) + 1
-		if !bytes.Equal(encodeTM(GenerateTM(tp, seed)), encodeTM(GenerateTM(tp, seed))) {
+		if !reflect.DeepEqual(GenerateTM(tp, seed), GenerateTM(tp, seed)) {
 			t.Fatalf("TM %s seed %d: nondeterministic generation", tp.Name, seed)
 		}
 		tlsProfiles := TLSProfiles()
 		lp := tlsProfiles[int(pick)%len(tlsProfiles)]
 		lp.Tasks = int(size%64) + 1
-		if !bytes.Equal(encodeTLS(GenerateTLS(lp, seed)), encodeTLS(GenerateTLS(lp, seed))) {
+		if !reflect.DeepEqual(GenerateTLS(lp, seed), GenerateTLS(lp, seed)) {
 			t.Fatalf("TLS %s seed %d: nondeterministic generation", lp.Name, seed)
 		}
 	})

@@ -80,8 +80,6 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	dirtyLine := c.Lookup(cache.LineAddr(0))
 	lineBuf := c.DirtyLinesInSet(0, nil)
 	setMaskBuf := make([]uint64, (c.NumSets()+63)/64)
-	c2 := cache.MustNew(1<<15, 4, 64, 16)
-	c2.CopyFrom(c)
 	// A full cache for Insert: every call past the first lap evicts, and
 	// every way already owns its Data buffer.
 	ci := cache.MustNew(1<<12, 4, 64, 16)
@@ -104,7 +102,7 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	schedPrefix := []int{1, 0, 2}
 	resumeSteps := make([]check.Step, 8)
 	rs := check.NewReplay(schedPrefix, 16)
-	rs.Resume(schedPrefix, 16, len(resumeSteps), resumeSteps)
+	rs.Resume(len(resumeSteps), resumeSteps)
 
 	var bw bus.Bandwidth
 
@@ -170,7 +168,6 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 			c.AndValidSets(setMaskBuf)
 		},
 		"bulk/internal/cache.Cache.AndDirtySets": func() { c.AndDirtySets(setMaskBuf) },
-		"bulk/internal/cache.Cache.CopyFrom":     func() { c2.CopyFrom(c) },
 
 		"bulk/internal/mem.Memory.Read":                     func() { _ = m.Read(100) },
 		"bulk/internal/mem.Memory.Write":                    func() { m.Write(100, 7) },
@@ -180,7 +177,7 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/mem.OverflowArea.DisambiguationScan": func() { _ = ov.DisambiguationScan(5) },
 
 		"bulk/internal/check.ReplayScheduler.Reset":  func() { rs.Reset(schedPrefix, 16) },
-		"bulk/internal/check.ReplayScheduler.Resume": func() { rs.Resume(schedPrefix, 16, len(resumeSteps), resumeSteps) },
+		"bulk/internal/check.ReplayScheduler.Resume": func() { rs.Resume(len(resumeSteps), resumeSteps) },
 
 		"bulk/internal/bus.Bandwidth.Record":       func() { bw.Record(bus.Inv, 12) },
 		"bulk/internal/bus.Bandwidth.RecordN":      func() { bw.RecordN(bus.WB, 76, 3) },

@@ -148,11 +148,12 @@ fi
 "$bc_tmp/bulkcheck" -mutations all -workers 4
 
 echo "== bulkcheck snapshot-vs-replay identity =="
-# The fork-point snapshot engine is an execution shortcut, never a report
-# change: sweeps with the cache disabled (-snapmem 0, full replay from the
-# root), with a tiny cache that must evict constantly, and with the default
-# allowance must emit byte-identical reports, and the mutation audit must
-# kill every mutation without the cache too.
+# The fork-point snapshot cache is an execution shortcut, never a report
+# change: sweeps with no cache (-snapmem 0, every schedule replays from the
+# pooled runner's base state), with a tiny cache that must evict
+# constantly, and with the default allowance must emit byte-identical
+# reports, and the mutation audit must kill every mutation without the
+# cache too.
 for snapmem in 0 1; do
   "$bc_tmp/bulkcheck" -budget small -v -snapmem "$snapmem" -workers 4 \
     > "$bc_tmp/snap$snapmem.out"
@@ -274,12 +275,11 @@ if ! grep -q 'drained cleanly' "$bc_tmp/bulkd.log"; then
 fi
 
 echo "== native fuzz smoke (5s per target) =="
-# The three runtimes, plus the trace codec round-trip and the workload
-# layout determinism targets the daemon's result cache leans on: cache
-# keys assume identical (seed, config) inputs regenerate identical bytes.
+# The three runtimes, plus the workload layout determinism target the
+# daemon's result cache leans on: cache keys assume identical (seed,
+# config) inputs regenerate identical workloads.
 for target in internal/tm:FuzzTMSchemes internal/tls:FuzzTLSSchemes \
-    internal/ckpt:FuzzCkptModes internal/trace:FuzzTraceRoundTrip \
-    internal/workload:FuzzWorkloadLayout; do
+    internal/ckpt:FuzzCkptModes internal/workload:FuzzWorkloadLayout; do
   pkg="${target%%:*}"
   fz="${target##*:}"
   go test "./$pkg/" -run '^$' -fuzz "^${fz}\$" -fuzztime 5s
